@@ -21,8 +21,10 @@ unbatched per-request path.  Three measurements:
    server, once with batching disabled (``max_batch=1``, the eager
    path) and once with the default batcher; wall-clock throughput,
    occupancy, and latency quantiles reported from the server's own SLO
-   accounting.  JSON framing and the event loop dominate here, so this
-   row reports the *service* win honestly rather than re-asserting the
+   accounting.  Payloads travel packed (base64 of the raw bytes), so
+   the codec is close to a byte copy; the per-request event-loop,
+   admission and framing work that remains does not batch, so this row
+   reports the *service* win honestly rather than re-asserting the
    engine ratio.
 
 Run standalone (``python benchmarks/bench_serve.py [--smoke]``) or under
@@ -197,8 +199,9 @@ def socket_comparison(clients: int, requests_each: int, connections: int,
              snap["mean_batch_occupancy"], snap["steps_per_request"],
              snap["latency_p50_ms"], snap["latency_p99_ms"]), widths))
     lines.append(f"service speedup = {wall_e / wall_b:.2f}x   "
-                 f"(JSON framing amortizes; the engine table above is "
-                 f"the isolated batching win)")
+                 f"(per-request event-loop and framing work does not "
+                 f"batch; the engine table above is the isolated "
+                 f"batching win)")
     _publish("socket", lines)
     return wall_e / wall_b, snap_b
 

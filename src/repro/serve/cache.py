@@ -55,6 +55,10 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def enabled(self) -> bool:
+        return self.max_entries > 0
+
     #: bumped whenever the digest layout changes, so stale digests from
     #: an earlier scheme can never alias a current one
     KEY_VERSION = b"v2"
@@ -81,8 +85,8 @@ class ResultCache:
             h.update(field)
         return h.hexdigest()
 
-    def get(self, key: str) -> Optional[CachedResult]:
-        if self.max_entries <= 0:
+    def get(self, key: Optional[str]) -> Optional[CachedResult]:
+        if not self.enabled:
             return None
         entry = self._entries.get(key)
         if entry is None:
@@ -92,8 +96,9 @@ class ResultCache:
         self.hits += 1
         return CachedResult(entry.values.copy(), entry.steps)
 
-    def put(self, key: str, values: np.ndarray, steps: int) -> None:
-        if self.max_entries <= 0:
+    def put(self, key: Optional[str], values: np.ndarray,
+            steps: int) -> None:
+        if not self.enabled:
             return
         self._entries[key] = CachedResult(np.asarray(values).copy(),
                                           int(steps))

@@ -14,7 +14,9 @@ through this class.
 
 :meth:`request` returns the raw response dict; :meth:`scan` decodes a
 successful response into an ndarray and raises :class:`ServeError` (with
-the structured ``code``) on an error response.
+the structured ``code``) on an error response.  ``values`` always go out
+in the packed form (base64 of the little-endian bytes, see
+:mod:`repro.serve.protocol`), so the replies come back packed too.
 """
 from __future__ import annotations
 

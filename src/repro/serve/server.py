@@ -107,7 +107,7 @@ class _Pending:
     """One admitted request parked on the queue."""
 
     req: ParsedRequest
-    key: str                     #: result-cache key
+    key: Optional[str]           #: result-cache key (None: cache off)
     future: asyncio.Future       #: resolves to the response frame (bytes)
     t0: float                    #: loop.time() at admission
     deadline: Optional[float]
@@ -363,8 +363,11 @@ class ScanServer:
         self.stats.requests += 1
         self.metrics.requests.inc()
 
-        key = ResultCache.key(req.op, req.values, req.seg_lengths,
-                              backend=repr(self.engine.backend))
+        # the digest hashes the whole payload: skip it when the cache is
+        # off (its get/put ignore the key then)
+        key = (ResultCache.key(req.op, req.values, req.seg_lengths,
+                               backend=repr(self.engine.backend))
+               if self.cache.enabled else None)
         hit = self.cache.get(key)
         if hit is not None:
             # no machine ran: zero steps charged, zero steps debited
@@ -373,7 +376,7 @@ class ScanServer:
             self.metrics.responses_ok.inc()
             self._record_latency(loop.time() - t0)
             return ok_frame(req.id, hit.values, steps=0, batched=1,
-                            cached=True)
+                            cached=True, packed=req.packed)
         self.metrics.cache_misses.inc()
 
         if self._outstanding >= self.config.max_pending:
@@ -517,7 +520,8 @@ class ScanServer:
         self.metrics.responses_ok.inc()
         self.metrics.steps_per_request.observe(steps)
         self._resolve(entry, ok_frame(entry.req.id, result, steps=steps,
-                                      batched=occupancy, cached=False))
+                                      batched=occupancy, cached=False,
+                                      packed=entry.req.packed))
 
     def _finish_error(self, entry: _Pending, code: str, message: str) -> None:
         self._count_error(code)

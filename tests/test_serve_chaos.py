@@ -7,6 +7,13 @@ Pinned here:
 
 * malformed JSON frames and non-object frames -> ``bad_request``, and
   the connection keeps serving;
+* packed payloads that are not base64, have a truncated length, carry a
+  ``bool`` byte other than 0/1, or lack a ``dtype`` -> ``bad_request``;
+  list values that do not convert exactly into their dtype (``1.5`` as
+  ``int64``, ``2`` as ``bool``, ``1e300`` as ``float32``) ->
+  ``bad_request``, never a silently rounded input;
+* replies mirror the request's encoding (list in, list out; packed in,
+  packed out), cache hits included;
 * an oversized wire frame -> one ``too_large`` reply, then the server
   hangs up (framing is unrecoverable); an oversized *vector* in a valid
   frame -> ``too_large`` with the connection intact;
@@ -22,11 +29,16 @@ Pinned here:
   task behind.
 """
 import asyncio
+import base64
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from repro.serve import ScanServer, ServeClient, ServeConfig, ServeError
+from repro.serve.cache import ResultCache
+from repro.serve.protocol import ProtocolError, decode_values, encode_values
 
 HOST = "127.0.0.1"
 
@@ -128,6 +140,193 @@ def test_oversized_vector_rejected_connection_survives():
             await server.shutdown()
 
     asyncio.run(main())
+
+
+async def _exchange(reader, writer, obj: dict) -> dict:
+    """One frame out, one frame back, on an open connection."""
+    writer.write((json.dumps(obj) + "\n").encode())
+    await writer.drain()
+    return json.loads(await reader.readline())
+
+
+def _packed(values, dtype: str) -> str:
+    return encode_values(np.asarray(values, dtype=dtype))
+
+
+def test_malformed_packed_payloads_classified_connection_survives():
+    int3 = _packed([1, 2, 3], "int64")
+    cases = [
+        # (values, dtype, code, details, words in the message)
+        ("AAAA*AAAAAA=", "int64", "bad_request", None, "not base64"),
+        (int3[:-4], "int64", "bad_request", None,
+         "not a multiple of the item size 8"),
+        (int3[:-1], "int64", "bad_request", None, "not a multiple of 4"),
+        (base64.b64encode(bytes([0, 1, 2])).decode(), "bool",
+         "bad_request", None, "bool byte 2"),
+        (_packed(np.arange(32), "int64"), "int64", "too_large",
+         {"max_elements": 16, "got": 32}, "max_elements=16"),
+        (int3, None, "bad_request", None, "explicit 'dtype'"),
+    ]
+
+    async def main():
+        server = ScanServer(ServeConfig(port=0, max_elements=16,
+                                        batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            for i, (values, dtype, code, details, words) in enumerate(cases):
+                obj = {"id": i, "op": "plus_scan", "values": values}
+                if dtype is not None:
+                    obj["dtype"] = dtype
+                frame = await _exchange(reader, writer, obj)
+                assert frame["ok"] is False and frame["id"] == i, frame
+                assert frame["error"]["code"] == code, frame
+                assert frame["error"].get("details") == details, frame
+                assert words in frame["error"]["message"], frame
+                # the same connection still serves a conforming frame
+                good = await _exchange(reader, writer, {
+                    "id": 100 + i, "op": "plus_scan", "dtype": "int64",
+                    "values": int3})
+                assert good["ok"] is True, good
+                assert np.array_equal(
+                    decode_values(good["values"], good["dtype"]), [0, 1, 3])
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+#: list values NumPy would silently round, wrap or saturate
+INEXACT_LISTS = [
+    ("int64", [1.5, 2.7]),
+    ("int64", [1e300]),
+    ("int64", [2 ** 63]),
+    ("uint8", [-1]),
+    ("int8", [True]),
+    ("int64", ["5"]),
+    ("bool", [2, -1]),
+    ("bool", [0.5]),
+    ("float32", [1e300]),
+    ("float64", [10 ** 400]),
+    ("float64", [None]),
+    ("float64", ["one"]),
+]
+
+
+@pytest.mark.parametrize("dtype,values", INEXACT_LISTS)
+def test_inexact_list_values_are_rejected_not_rounded(dtype, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow RuntimeWarning
+        with pytest.raises(ProtocolError) as info:
+            decode_values(values, dtype)
+    assert info.value.code == "bad_request"
+    assert dtype in info.value.message
+
+
+def test_inexact_list_values_get_bad_request_on_the_wire():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            for i, (dtype, values) in enumerate(INEXACT_LISTS):
+                frame = await _exchange(reader, writer, {
+                    "id": i, "op": "plus_scan", "dtype": dtype,
+                    "values": values})
+                assert frame["ok"] is False, (dtype, values, frame)
+                assert frame["error"]["code"] == "bad_request", frame
+            # float specials stay legal on float dtypes, both widths
+            for dtype in ("float32", "float64"):
+                frame = await _exchange(reader, writer, {
+                    "id": dtype, "op": "max_scan", "dtype": dtype,
+                    "values": ["-inf", "-0.0", 1, 2.5, "inf", "nan"]})
+                assert frame["ok"] is True, frame
+                assert frame["dtype"] == dtype
+                assert frame["values"][1:] == ["-inf", "-0.0", 1, 2.5,
+                                              "inf"], frame
+            # exact lists decode: bools from 0/1, full-range integers
+            assert np.array_equal(decode_values([True, 0, 1], "bool"),
+                                  [True, False, True])
+            assert decode_values([2 ** 64 - 1], "uint64")[0] == 2 ** 64 - 1
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+def test_reply_mirrors_request_encoding_including_cache_hits():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            as_list = {"op": "plus_scan", "dtype": "int64",
+                       "values": [1, 2, 3]}
+            as_packed = dict(as_list, values=_packed([1, 2, 3], "int64"))
+            replies = [await _exchange(reader, writer, dict(obj, id=i))
+                       for i, obj in enumerate((as_list, as_packed,
+                                                as_list, as_packed))]
+            assert [r["cached"] for r in replies] == [False, True,
+                                                      True, True]
+            for r in replies[0::2]:
+                assert r["values"] == [0, 1, 3], r
+            for r in replies[1::2]:
+                assert r["values"] == _packed([0, 1, 3], "int64"), r
+            writer.close()
+            await writer.wait_closed()
+
+            # the client always sends packed, so it gets packed back
+            client = await ServeClient.connect(HOST, server.port)
+            frame = await client.request("plus_scan", [4, 5])
+            assert isinstance(frame["values"], str), frame
+            await client.close()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+def test_disabled_cache_never_digests_the_payload(monkeypatch):
+    """With ``cache_entries=0`` every lookup misses, so hashing the
+    payload would be wasted work."""
+    digests = []
+    real_key = ResultCache.key
+
+    def counting_key(*args, **kwargs):
+        digests.append(args[0])
+        return real_key(*args, **kwargs)
+
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001,
+                                        cache_entries=0))
+        await server.start()
+        try:
+            client = await ServeClient.connect(HOST, server.port)
+            for _ in range(2):
+                out = await client.scan("plus_scan", [1, 2, 3])
+                assert np.array_equal(out, [0, 1, 3])
+            await client.close()
+        finally:
+            await server.shutdown()
+        assert server.stats.ok == 2
+        assert server.cache.snapshot()["entries"] == 0
+
+    monkeypatch.setattr(ResultCache, "key", staticmethod(counting_key))
+    asyncio.run(main())
+    assert digests == []
+
+
+def test_cache_key_layout_is_pinned():
+    """The digest layout (``KEY_VERSION`` v2) is stable."""
+    key = ResultCache.key("seg_plus_scan",
+                          np.array([1, 2, 3], dtype=np.int64), (1, 2),
+                          backend="NumPyBackend()")
+    assert key == ("ce3b597f2f82d064437ac18c6f968a51"
+                   "d52de349f523c4b517ebc5966115a0ba")
 
 
 def test_bad_inputs_are_classified_not_crashes():

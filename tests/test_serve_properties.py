@@ -14,20 +14,24 @@ Two layers of properties:
 * **Engine level** (Hypothesis, no sockets) — for arbitrary groups of
   integer vectors, :meth:`BatchEngine.run_group` is bit-identical to
   per-request :meth:`BatchEngine.run_solo`; value encoding survives the
-  JSON round trip including specials; the quota meter never admits a
-  tenant at non-positive balance and always reconciles its accounting.
+  wire bit for bit in every dtype (packed) and value for value including
+  specials (list); the quota meter never admits a tenant at
+  non-positive balance and always reconciles its accounting.
 """
 import asyncio
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serve import SERVABLE_OPS, BatchEngine, ScanServer, ServeClient, \
     ServeConfig
 from repro.serve.batching import proportional_shares
 from repro.serve.cache import ResultCache
-from repro.serve.protocol import decode_values, encode_values
+from repro.serve.protocol import DTYPES, decode_values, encode_values, \
+    ok_frame
 from repro.serve.quota import QuotaManager, QuotaPolicy
 from repro.verify.corpus import generate_cases
 from repro.verify.opset import OPS
@@ -137,16 +141,68 @@ def test_batched_segmented_group_equals_solo(group):
     st.just(-0.0)), max_size=50))
 @settings(max_examples=80, deadline=None)
 def test_float64_values_survive_the_wire(xs):
-    """encode -> JSON-safe -> decode is the identity, bits included."""
+    """encode -> wire -> decode is the identity.  The packed form keeps
+    every bit, NaN payload and sign included; the list form keeps every
+    value and -0.0's sign, but spells every NaN as the canonical
+    ``"nan"`` (payload and sign bits are not semantic in the engines)."""
     arr = np.asarray(xs, dtype=np.float64)
     back = decode_values(encode_values(arr), "float64")
+    assert np.array_equal(arr.view(np.uint64), back.view(np.uint64))
+
+    frame = json.loads(ok_frame(1, arr, steps=0, batched=1, cached=False,
+                                packed=False))
+    assert isinstance(frame["values"], list)
+    back = decode_values(frame["values"], frame["dtype"])
     assert np.array_equal(arr, back, equal_nan=True)
-    # -0.0 keeps its sign through the string escape; NaNs are exempt —
-    # the wire spells every NaN as the canonical "nan" (payload and sign
-    # bits are not semantic anywhere in the engines)
     finite_sign = ~np.isnan(arr)
     assert np.array_equal(np.signbit(arr)[finite_sign],
                           np.signbit(back)[finite_sign])
+
+
+def _dtype_extremes(dtype: str) -> np.ndarray:
+    dt = np.dtype(dtype)
+    if dt.kind == "b":
+        return np.array([False, True])
+    if dt.kind == "f":
+        fi = np.finfo(dt)
+        return np.array([fi.min, fi.max, fi.tiny, -fi.tiny, fi.eps,
+                         fi.smallest_subnormal, -0.0, np.inf, -np.inf,
+                         np.nan, -np.nan], dtype=dt)
+    ii = np.iinfo(dt)
+    return np.array([ii.min, ii.max, 0, ii.min + 1, ii.max - 1], dtype=dt)
+
+
+@st.composite
+def wire_arrays(draw):
+    dtype = draw(st.sampled_from(sorted(DTYPES)))
+    body = draw(hnp.arrays(np.dtype(dtype), st.integers(0, 40)))
+    if draw(st.booleans()):
+        body = np.concatenate([body, _dtype_extremes(dtype)])
+    return dtype, body
+
+
+@given(wire_arrays())
+@settings(max_examples=200, deadline=None)
+def test_packed_round_trip_is_bit_exact_for_every_dtype(case):
+    """decode(encode(a)) == a byte for byte, for all 11 wire dtypes,
+    empty vectors and dtype extremes included; the decoded array is a
+    fresh, writable, native-endian copy."""
+    dtype, arr = case
+    back = decode_values(encode_values(arr), dtype)
+    assert back.dtype == np.dtype(dtype) and back.shape == arr.shape
+    assert back.dtype.isnative and back.flags.writeable
+    assert back.flags.owndata
+    assert np.array_equal(arr.view(np.uint8), back.view(np.uint8))
+
+
+def test_packed_form_is_little_endian_whatever_the_host():
+    """The wire bytes are little-endian, so a big-endian array encodes to
+    the same string as its native twin."""
+    native = np.array([1, -2, 3 << 40], dtype=np.int64)
+    swapped = native.astype(native.dtype.newbyteorder(">"))
+    assert encode_values(swapped) == encode_values(native)
+    assert np.array_equal(decode_values(encode_values(swapped), "int64"),
+                          native)
 
 
 # --------------------------------------------------------------------- #
