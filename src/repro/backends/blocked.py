@@ -29,8 +29,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .base import Backend
-from .numpy_backend import (NumPyBackend, _exclusive_cumsum,
-                            _seg_running_extreme)
+from .carry import seg_extreme_blocks
+from .numpy_backend import NumPyBackend, _exclusive_cumsum
 
 __all__ = ["BlockedBackend"]
 
@@ -321,45 +321,8 @@ class BlockedBackend(Backend):
 
     def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
                          identity, *, is_max: bool) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        # the in-chunk rank encoding orders NaN as a largest value, so the
-        # cross-chunk min carry must too: np.fmin (NaN loses to any real
-        # value), not the NaN-propagating np.minimum — the max side's
-        # np.maximum already coincides with NaN-as-largest
-        combine = np.maximum if is_max else np.fmin
-        reduce_run = ((lambda a: a.max()) if is_max
-                      else (lambda a: np.fmin.reduce(a)))
-        out = np.empty_like(values)
-        carry = None  # extreme since the open segment's head (None = at start)
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            # _seg_running_extreme needs a head at position 0; opening the
-            # chunk's leading run as its own segment shifts every relative
-            # segment id by one without moving any boundary
-            sfc_local = sfc
-            if not sfc[0]:
-                sfc_local = sfc.copy()
-                sfc_local[0] = True
-            local = _seg_running_extreme(seg, sfc_local, identity,
-                                         is_max=is_max)
-            if carry is not None and not sfc[0]:
-                # the leading run continues a segment begun in an earlier
-                # chunk: fold in the carried extreme; its first element has
-                # no in-chunk prefix and takes the carry alone (the
-                # identity fill must not clamp real segment values)
-                run = int(np.argmax(sfc)) if sfc.any() else len(sfc)
-                combine(local[:run], carry, out=local[:run])
-                local[0] = carry
-            out[s:e] = local
-            heads = np.flatnonzero(sfc)
-            if len(heads):
-                carry = reduce_run(seg[heads[-1]:])
-            elif carry is None:
-                carry = reduce_run(seg)
-            else:
-                carry = combine(carry, reduce_run(seg))
-        return out
+        return seg_extreme_blocks(values, seg_flags, identity, is_max=is_max,
+                                  block=self.chunk)
 
     def seg_copy(self, values: np.ndarray,
                  seg_flags: np.ndarray) -> np.ndarray:

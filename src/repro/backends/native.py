@@ -22,8 +22,10 @@ vectors run the same kernels as ordinary Python (keeping the exact kernel
 arithmetic on the fuzzer's differential surface), and large vectors run a
 vectorized per-block schedule that mirrors :class:`BlockedBackend`'s
 proven chunk math — same two phases, NumPy expressions instead of
-compiled loops.  ``REPRO_NATIVE_PURE=1`` forces the fallback even when
-Numba is present (the CI leg that proves it).
+compiled loops (the segmented extreme scan runs the blocked engine's
+own block loop over the shared :mod:`repro.backends.carry` kernel).
+``REPRO_NATIVE_PURE=1`` forces the fallback even when Numba is present
+(the CI leg that proves it).
 
 Conformance: integer and boolean results are bit-identical to every
 other backend (modular addition and max/min are associative); float
@@ -32,8 +34,9 @@ distributed engines' carries do (the verifier's documented additive
 tolerance); ``max``-family scans are exact because ``np.maximum`` and the
 kernels' ``v > acc or v != v`` comparison both implement the same
 NaN-absorbing total order.  The segmented *min* kernels order NaN as a
-largest value (``np.fmin`` semantics) — the same documented rank-encoding
-convention as the numpy engine, see ``docs/verification.md``.
+largest value (``np.fmin`` semantics) — the same documented ordering
+convention as the shared :mod:`repro.backends.carry` kernel, see
+``docs/verification.md``.
 
 Everything else — communication, broadcast, the table-driven segmented
 ops — inherits :class:`NumPyBackend` unchanged: the paper's argument is
@@ -52,7 +55,8 @@ import os
 
 import numpy as np
 
-from .numpy_backend import NumPyBackend, _exclusive_cumsum, _seg_running_extreme
+from .carry import block_carries, seg_extreme_blocks
+from .numpy_backend import NumPyBackend, _exclusive_cumsum
 
 __all__ = ["NativeBackend", "HAVE_NUMBA"]
 
@@ -311,13 +315,13 @@ class NativeBackend(NumPyBackend):
     def temp_bytes(self, op: str, out_bytes: int) -> int:
         """Two-phase working storage: the per-block partials (one word per
         block) plus, on the pure path, chunk-bounded NumPy temporaries —
-        the rank-encoding segmented extreme holds about three of them."""
+        the segmented extreme kernel holds about 1.6 of them."""
         if op == "fused_pipeline":
             return int(getattr(self, "_fused_temp", out_bytes))
         per_block = min(out_bytes, self.block * 8)
         partials = 2 * max(1, out_bytes // max(1, self.block * 8)) * 8
         if op == "seg_extreme_scan" and not self.compiled:
-            per_block *= 3
+            per_block = 13 * per_block // 8
         return per_block + partials
 
     # ------------------------------------------------------------------ #
@@ -465,65 +469,26 @@ class NativeBackend(NumPyBackend):
             return super().seg_extreme_scan(values, seg_flags, identity,
                                             is_max=is_max)
         n, block = len(values), self.block
-        nb = _nblocks(n, block)
         dt = values.dtype
+        ident = np.asarray(identity, dtype=dt)[()]
+        self._count(n)
+        if not self._use_py_kernels(n):
+            # the vectorized tier is the blocked engine's block loop
+            return seg_extreme_blocks(values, seg_flags, ident,
+                                      is_max=is_max, block=block)
+        nb = _nblocks(n, block)
         exts = np.empty(nb, dtype=dt)
         has = np.empty(nb, dtype=bool)
         out = np.empty_like(values)
-        ident = np.asarray(identity, dtype=dt)[()]
-        # NaN orders as a largest value (rank-encoding convention): max
-        # propagates it, min passes it over — np.fmin, not np.minimum
-        combine = np.maximum if is_max else np.fmin
-        self._count(n)
-        if self._use_py_kernels(n):
-            up, down = ((_K_SEG_EXT_UP, _K_SEG_EXT_DOWN) if self.compiled
-                        else (_seg_ext_upsweep_py, _seg_ext_downsweep_py))
-            up(values, seg_flags, exts, has, block, is_max)
-            carries, have = self._seg_ext_carries(exts, has, ident, combine)
-            down(values, seg_flags, out, carries, have, block, ident, is_max)
-            return out
-        for b in range(nb):
-            s, e = b * block, min(b * block + block, n)
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            tail = seg[heads[-1]:] if len(heads) else seg
-            exts[b] = tail.max() if is_max else np.fmin.reduce(tail)
-            has[b] = bool(len(heads))
-        carries, have = self._seg_ext_carries(exts, has, ident, combine)
-        for b in range(nb):
-            s, e = b * block, min(b * block + block, n)
-            seg, sfc = values[s:e], seg_flags[s:e]
-            sfc_local = sfc
-            if not sfc[0]:
-                sfc_local = sfc.copy()
-                sfc_local[0] = True
-            local = _seg_running_extreme(seg, sfc_local, ident, is_max=is_max)
-            if have[b] and not sfc[0]:
-                # the leading run continues a segment from an earlier
-                # block: fold in the carried extreme; its first element
-                # has no in-block prefix and takes the carry alone
-                run = int(np.argmax(sfc)) if sfc.any() else len(sfc)
-                combine(local[:run], carries[b], out=local[:run])
-                local[0] = carries[b]
-            out[s:e] = local
+        up, down = ((_K_SEG_EXT_UP, _K_SEG_EXT_DOWN) if self.compiled
+                    else (_seg_ext_upsweep_py, _seg_ext_downsweep_py))
+        up(values, seg_flags, exts, has, block, is_max)
+        # the kernels' NaN order is block_carries' np.maximum / np.fmin:
+        # max propagates NaN, min passes over it
+        carries = block_carries(exts, has, ident, is_max=is_max)
+        have = np.arange(nb) > 0  # block 0 has no carry-in
+        down(values, seg_flags, out, carries, have, block, ident, is_max)
         return out
-
-    def _seg_ext_carries(self, exts, has, ident, combine):
-        """Exclusive scan of the ``(extreme since last head, has_head)``
-        pairs; ``have[b]`` is False only while no element has been seen
-        (block 0, whose leading flag is a head by contract)."""
-        carries = np.empty_like(exts)
-        have = np.empty(len(exts), dtype=bool)
-        cur, cur_have = ident, False
-        for b in range(len(exts)):
-            carries[b] = cur
-            have[b] = cur_have
-            if has[b] or not cur_have:
-                cur = exts[b]
-            else:
-                cur = combine(cur, exts[b])
-            cur_have = True
-        return carries, have
 
     # ------------------------------------------------------------------ #
     # Fused pipelines: the elementwise chain evaluated block by block

@@ -101,8 +101,9 @@ class ReferenceBackend(Backend):
             # combining into an accumulator that starts at the additive
             # identity: untouched cells hold 0 regardless of `default`
             out = np.zeros(length, dtype=values.dtype)
-            for i in range(len(values)):
-                out[index[i]] = out[index[i]] + values[i]
+            with np.errstate(over="ignore"):  # integer sums wrap by design
+                for i in range(len(values)):
+                    out[index[i]] = out[index[i]] + values[i]
             return out
         out = np.full(length, default, dtype=values.dtype)
         touched = np.zeros(length, dtype=bool)
@@ -226,9 +227,9 @@ class ReferenceBackend(Backend):
             if seg_flags[i]:
                 acc, fresh = ident, True
             out[i] = acc if not fresh else ident
-            # NaN orders as a largest value (the rank-encoding convention
-            # every backend shares): max absorbs it via np.maximum, min
-            # passes it over via np.fmin — not the propagating np.minimum
+            # the np.maximum / np.fmin ordering convention every backend
+            # shares: max absorbs NaN via np.maximum, min passes it over
+            # via np.fmin — not the propagating np.minimum
             acc = values[i] if fresh else (
                 np.maximum(acc, values[i]) if is_max
                 else np.fmin(acc, values[i]))

@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated dtypes (default: each op's grid)")
     pv.add_argument("--backends", default=None,
                     help="comma-separated engines "
-                         f"(default: {','.join(('numpy', 'blocked', 'blocked:7', 'reference', 'native', 'native:0:7'))})")
+                         f"(default: {','.join(('numpy', 'blocked', 'blocked:7', 'blocked:1', 'reference', 'native', 'native:0:7'))})")
     pv.add_argument("--no-corpus", action="store_true",
                     help="skip replaying tests/corpus/verify/")
     pv.add_argument("--corpus-dir", default=None,

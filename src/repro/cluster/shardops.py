@@ -12,14 +12,14 @@ math is the same function, so recovery can never change a result.
 
 The kernels mirror :class:`repro.backends.BlockedBackend`'s per-chunk
 arithmetic exactly (a shard is a chunk that happens to live in another
-process): integer carries wrap modulo ``2**width``, extreme carries order
-NaN as a largest value exactly like the in-shard rank encoding
-(``np.maximum`` for max, ``np.fmin`` for min — see
-``docs/verification.md``), and segmented carries travel as
-``(value, has_head)`` monoid pairs.  For integer and boolean
-vectors every distributed result is therefore bit-identical to the numpy
-backend; float ``+``-carries may legitimately re-associate, exactly as a
-real message-passing machine would.
+process): integer carries wrap modulo ``2**width``, extreme carries use
+the in-shard kernel's ordering convention (``np.maximum`` for max, which
+propagates NaN; ``np.fmin`` for min, which passes over it — see
+:mod:`repro.backends.carry` and ``docs/verification.md``), and segmented
+carries travel as ``(value, has_head)`` monoid pairs.  For integer and
+boolean vectors every distributed result is therefore bit-identical to
+the numpy backend; float ``+``-carries may legitimately re-associate,
+exactly as a real message-passing machine would.
 
 Checksums (:func:`shard_checksum`) cover a shard's output bytes *and* its
 carry payload, so a worker that corrupts either — in shared memory after
@@ -33,8 +33,9 @@ import zlib
 
 import numpy as np
 
-from ..backends.numpy_backend import (_REDUCERS, _exclusive_cumsum,
-                                      _seg_running_extreme)
+from ..backends.carry import (extreme_carry_out, extreme_combine,
+                              seg_extreme_scan)
+from ..backends.numpy_backend import _REDUCERS, _exclusive_cumsum
 
 __all__ = [
     "carry_bytes",
@@ -233,24 +234,12 @@ def seg_plus_carry_combine(dtype):
 
 def seg_extreme_shard(values: np.ndarray, seg_flags: np.ndarray, identity,
                       *, is_max: bool):
-    """Local segmented exclusive extreme scan; carry-out pair is
+    """Local segmented exclusive extreme scan (the leading run's carry
+    arrives in the apply pass); carry-out pair is
     ``(extreme since the shard's last head, has_head)``."""
-    sfc = seg_flags
-    if not sfc[0]:
-        # _seg_running_extreme needs a head at position 0; opening the
-        # shard's leading run as its own segment shifts every relative
-        # segment id by one without moving any boundary
-        sfc = sfc.copy()
-        sfc[0] = True
-    out = _seg_running_extreme(values, sfc, identity, is_max=is_max)
-    # the min carry must order NaN as a largest value, like the in-shard
-    # rank encoding (np.min would propagate it and diverge at boundaries)
-    red = np.max if is_max else np.fmin.reduce
-    heads = np.flatnonzero(seg_flags)
-    if len(heads):
-        carry = (red(values[heads[-1]:]), True)
-    else:
-        carry = (red(values), False)
+    out = seg_extreme_scan(values, seg_flags, identity, is_max=is_max)
+    carry = (extreme_carry_out(values, seg_flags, out, is_max=is_max),
+             bool(seg_flags.any()))
     return out, carry
 
 
@@ -261,7 +250,7 @@ def seg_extreme_apply(out_slice: np.ndarray, flags_slice: np.ndarray,
     the carry alone (the identity fill must not clamp real values)."""
     if carry_value is None or flags_slice[0]:
         return
-    combine = np.maximum if is_max else np.fmin
+    combine = extreme_combine(is_max)
     heads = np.flatnonzero(flags_slice)
     run = int(heads[0]) if len(heads) else len(flags_slice)
     combine(out_slice[:run], carry_value, out=out_slice[:run])
@@ -271,7 +260,7 @@ def seg_extreme_apply(out_slice: np.ndarray, flags_slice: np.ndarray,
 def seg_extreme_carry_combine(is_max: bool):
     """Carry monoid over ``(value | None, has_head)`` pairs; ``None``
     marks "nothing scanned yet" (the exchange identity)."""
-    combine_val = np.maximum if is_max else np.fmin
+    combine_val = extreme_combine(is_max)
 
     def combine(a, b):  # a precedes b
         if b[1]:

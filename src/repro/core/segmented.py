@@ -10,12 +10,12 @@ Every segmented operation here can be built from **at most two unsegmented
 primitive scans** (Section 3.4, Figure 16): a segmented ``max-scan`` appends
 the segment number to each value before an unsegmented ``max-scan``; a
 segmented ``+-scan`` subtracts a copied segment-head offset from an
-unsegmented ``+-scan``.  The functions in this module compute results with
-vectorized NumPy using exactly that construction (with the bit-append
-replaced by a rank encoding so arbitrary signed/float values cannot
-overflow), dispatched through the machine's execution backend
-(:meth:`repro.machine.Machine.execute`), and charge the machine the
-construction's primitive cost.
+unsegmented ``+-scan``.  The functions in this module charge the machine
+that construction's primitive cost and compute results through the
+machine's execution backend (:meth:`repro.machine.Machine.execute`); the
+segmented extreme scans execute as one linear-time kernel
+(:func:`repro.backends.carry.seg_extreme_scan`) that needs no bit-append,
+so arbitrary signed/float values cannot overflow.
 The bit-literal constructions are in :mod:`repro.core.simulate` and are
 tested to agree element-for-element.
 """

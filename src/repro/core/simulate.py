@@ -21,8 +21,8 @@ executable:
 
 The bit-append constructions require non-negative values of a declared
 width; :mod:`repro.core.segmented` provides the general-dtype equivalents
-(same costs, rank encoding instead of raw bits).  The test suite checks the
-two agree element-for-element wherever both are defined.
+(same costs, a linear-time kernel instead of raw bits).  The test suite
+checks the two agree element-for-element wherever both are defined.
 """
 from __future__ import annotations
 

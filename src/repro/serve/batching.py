@@ -18,9 +18,10 @@ serial one-request run.  Three rules keep it that way:
   so NumPy promotion can never leak across tenants;
 * **float vectors never batch.**  The +-family's association changes
   under the segmented construction (exact for integers, last-ulp for
-  IEEE floats), and the extreme scans' rank encoding orders NaN like a
-  largest value rather than propagating it; both are documented engine
-  departures (``docs/verification.md``) that a *solo* run does not take.
+  IEEE floats), and the segmented min-scans combine with ``np.fmin``,
+  which passes over NaN rather than propagating it; both are documented
+  engine departures (``docs/verification.md``) that a *solo* run does
+  not take.
   Float jobs ride the serial path and stay bit-identical to it.
 * empty vectors run solo: their result dtype is an identity question,
   answered by the real op rather than re-derived here.

@@ -15,7 +15,8 @@ Dtype grids:
 * ``segment_ids`` / ``seg_index`` / ``seg_enumerate`` take flag vectors by
   contract, so they fuzz over ``bool`` only;
 * the four segmented extreme scans exclude NaN (``nan_ok=False``): their
-  rank-encoding construction orders NaN like a largest value, which is a
+  shared kernel combines with ``np.maximum`` / ``np.fmin``, ordering NaN
+  like a largest value (the min side passes over it), which is a
   *documented* departure from NaN-propagating sequential semantics, not a
   conformance bug (see ``docs/verification.md``).
 

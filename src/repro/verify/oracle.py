@@ -4,13 +4,13 @@ Each function here computes an exported operation's result with the most
 direct serial loop that expresses its definition — an exclusive
 ``min-scan`` is a running minimum, full stop.  The oracle never uses the
 Section 3.4 *constructions* (``min-scan`` as an inverted ``max-scan``,
-``or-scan`` as a one-bit ``max-scan``, segmented scans as rank-encoded
-unsegmented scans): those constructions are exactly what the execution
-backends run, so a construction bug — a negation that overflows at
-``iinfo.min``, a sign lost in an integer cast — shows up as a divergence
-between backends and oracle even when all three backends agree with each
-other.  This is the same oracle role LightScan's serial reference plays
-for its SIMD scans.
+``or-scan`` as a one-bit ``max-scan``, a segmented ``+-scan`` as an
+unsegmented one minus copied head offsets): those constructions are
+exactly what the execution backends run, so a construction bug — a
+negation that overflows at ``iinfo.min``, a sign lost in an integer cast
+— shows up as a divergence between backends and oracle even when all
+three backends agree with each other.  This is the same oracle role
+LightScan's serial reference plays for its SIMD scans.
 
 Dtype contract (shared with the backends, checked by the fuzzer):
 

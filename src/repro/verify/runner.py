@@ -42,9 +42,10 @@ from .opset import OPS, OpSpec
 __all__ = ["DEFAULT_ENGINES", "Divergence", "CaseOutcome", "run_case",
            "run_cases", "results_equal"]
 
-#: engines every case runs on (blocked twice: chunk edges at 32 and 7;
+#: engines every case runs on (blocked three times: the default chunk,
+#: chunk edges at 7, and a carry at every element boundary with chunk 1;
 #: native twice: the default block and a tiny block-7 two-phase schedule)
-DEFAULT_ENGINES = ("numpy", "blocked", "blocked:7", "reference",
+DEFAULT_ENGINES = ("numpy", "blocked", "blocked:7", "blocked:1", "reference",
                    "native", "native:0:7")
 
 #: tolerance for float results of additive (+-family) operations.  The

@@ -14,6 +14,8 @@ computes.  These tests pin the contract that makes that split safe:
 * the blocked backend's carry propagation survives vectors spanning many
   chunks.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,8 +446,8 @@ class TestFaultsAcrossBackends:
 
 class TestSegExtremeNaNCarries:
     """The min carry between chunks/shards used NaN-propagating
-    ``np.minimum`` while the in-chunk rank encoding orders NaN as a
-    largest value: with NaN inside the open segment crossing a boundary,
+    ``np.minimum`` while the in-chunk scan orders NaN as a largest
+    value: with NaN inside the open segment crossing a boundary,
     blocked and reference returned ``nan`` where numpy returns the real
     running min.  Fixed by ``np.fmin`` carries everywhere."""
 
@@ -476,6 +478,24 @@ class TestSegExtremeNaNCarries:
         seg_extreme_apply(out_b, sf[4:], carry_a[0], is_max=False)
         got = np.concatenate([out_a, out_b])
         assert np.array_equal(got, self._seg_min("numpy"), equal_nan=True)
+
+
+# --------------------------------------------------------------------- #
+# Reference combining writes wrap silently (regression)
+# --------------------------------------------------------------------- #
+
+def test_reference_combine_sum_wraps_without_warning():
+    """Two ``2**62`` values summed into one int64 cell wrap to ``-2**63``;
+    the serial loop raised ``RuntimeWarning: overflow`` under ``-W error``
+    where every vectorized backend wraps quietly."""
+    values = np.array([2**62, 2**62], dtype=np.int64)
+    index = np.array([0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ReferenceBackend().combine_write(values, index, 1, "sum", 0)
+    assert got.tolist() == [-2**63]
+    assert np.array_equal(
+        got, NumPyBackend().combine_write(values, index, 1, "sum", 0))
 
 
 # --------------------------------------------------------------------- #

@@ -1,0 +1,210 @@
+"""The shared segmented extreme kernel (repro.backends.carry).
+
+Every engine — numpy whole-vector, blocked chunks, the native fallback's
+blocks and the distributed shards — runs its segmented max/min scans
+through :func:`seg_extreme_scan`, so this suite holds it to the serial
+:class:`ReferenceBackend` loop directly: every fuzzer dtype, float
+specials, flag densities from one giant segment to all heads, lengths on
+both sides of the row width and of the single-row limit, non-neutral
+identities, and a vector split anywhere and continued with ``carry=``.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backends import ReferenceBackend
+from repro.backends.carry import (extreme_carry_out, extreme_combine,
+                                  seg_extreme_scan)
+from repro.verify.opset import DTYPES_FULL
+
+_REF = ReferenceBackend()
+
+DTYPES = DTYPES_FULL + ("uint16", "uint64", "float32")
+FLOAT_SPECIALS = (np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324)
+#: one row up to 1024 elements, rows of 64 above: both sides of each edge
+EDGE_LENGTHS = (1, 2, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025, 1087,
+                1088, 1089, 2047, 2048, 2049, 4095, 4097)
+#: head probability: one giant segment ... every element a head
+DENSITIES = (0.0, 1 / 1024, 1 / 64, 1 / 7, 0.5, 1.0)
+
+
+def _values(rng, dtype: str, n: int) -> np.ndarray:
+    dt = np.dtype(dtype)
+    if dt.kind == "b":
+        return rng.random(n) < 0.5
+    if dt.kind in "iu":
+        info = np.iinfo(dt)
+        pool = np.array([info.min, info.min + 1, info.max - 1, info.max,
+                         0, 1, info.max // 2], dtype=dt)
+        out = rng.integers(info.min, info.max, n, dtype=dt, endpoint=True)
+        pick = rng.random(n) < 0.3
+        out[pick] = rng.choice(pool, int(pick.sum()))
+        return out
+    out = rng.normal(scale=1e3, size=n).astype(dt)
+    pick = rng.random(n) < 0.25
+    out[pick] = rng.choice(np.array(FLOAT_SPECIALS, dtype=dt),
+                           int(pick.sum()))
+    return out
+
+
+def _flags(rng, n: int, density: float) -> np.ndarray:
+    flags = rng.random(n) < density
+    flags[0] = True
+    return flags
+
+
+def _identity(dtype: str, is_max: bool, neutral: bool):
+    dt = np.dtype(dtype)
+    if not neutral:
+        return 0  # seg_or_scan's identity: never combined into values
+    if dt.kind == "b":
+        return not is_max
+    if dt.kind in "iu":
+        return np.iinfo(dt).min if is_max else np.iinfo(dt).max
+    return -np.inf if is_max else np.inf
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype
+            and np.array_equal(got, want,
+                               equal_nan=(want.dtype.kind == "f")))
+
+
+cases = st.fixed_dictionaries({
+    "dtype": st.sampled_from(DTYPES),
+    "n": st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 300)),
+    "density": st.sampled_from(DENSITIES),
+    "is_max": st.booleans(),
+    "neutral": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _draw(case):
+    rng = np.random.default_rng(case["seed"])
+    n, dtype = case["n"], case["dtype"]
+    values = _values(rng, dtype, n)
+    flags = _flags(rng, n, case["density"])
+    ident = _identity(dtype, case["is_max"], case["neutral"])
+    return rng, values, flags, ident
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases)
+def test_matches_the_serial_reference(case):
+    _, values, flags, ident = _draw(case)
+    before = values.copy()
+    got = seg_extreme_scan(values, flags, ident, is_max=case["is_max"])
+    want = _REF.seg_extreme_scan(values, flags, ident,
+                                 is_max=case["is_max"])
+    assert _same(got, want)
+    assert _same(values, before)  # the input is never written
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases, data=st.data())
+def test_split_continued_with_carry_equals_unsplit(case, data):
+    _, values, flags, ident = _draw(case)
+    n, is_max = len(values), case["is_max"]
+    whole = seg_extreme_scan(values, flags, ident, is_max=is_max)
+    cuts = []
+    if n > 1:
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1),
+                                             max_size=4))))
+    pieces, carry = [], None
+    for s, e in zip([0] + cuts, cuts + [n]):
+        out = seg_extreme_scan(values[s:e], flags[s:e], ident,
+                               is_max=is_max, carry=carry)
+        carry = extreme_carry_out(values[s:e], flags[s:e], out,
+                                  is_max=is_max, carry=carry)
+        pieces.append(out)
+    assert _same(np.concatenate(pieces), whole)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+def test_no_head_at_zero_without_carry_starts_a_segment(is_max):
+    values = np.array([3.0, np.nan, -1.0, 7.0])
+    flags = np.array([False, False, True, False])
+    headed = flags.copy()
+    headed[0] = True
+    assert _same(seg_extreme_scan(values, flags, 9.0, is_max=is_max),
+                 seg_extreme_scan(values, headed, 9.0, is_max=is_max))
+
+
+def test_carry_reaches_only_the_leading_run():
+    values = np.array([1, 5, 2, 8, 0], dtype=np.int16)
+    flags = np.array([False, False, True, False, False])
+    got = seg_extreme_scan(values, flags, -99, is_max=True, carry=4)
+    assert got.tolist() == [4, 4, -99, 2, 8]
+
+
+def test_nan_ordering_convention():
+    values = np.array([2.0, np.nan, 1.0, 3.0])
+    flags = np.array([True, False, False, False])
+    assert extreme_combine(True) is np.maximum
+    assert extreme_combine(False) is np.fmin
+    got_max = seg_extreme_scan(values, flags, -np.inf, is_max=True)
+    got_min = seg_extreme_scan(values, flags, np.inf, is_max=False)
+    assert np.array_equal(got_max, [-np.inf, 2.0, np.nan, np.nan],
+                          equal_nan=True)  # max propagates NaN
+    assert got_min.tolist() == [np.inf, 2.0, 2.0, 1.0]  # min passes it over
+
+
+@pytest.mark.parametrize("n", [130, 5000])
+@pytest.mark.parametrize("is_max", [True, False])
+def test_every_segment_length_reaches_its_head(n, is_max):
+    """Each head holds its segment's extreme, so an element whose window
+    stops one short of the head is wrong: this pins the number of
+    doubling passes for every run length 1..64 (and longer)."""
+    rng = np.random.default_rng(3)
+    lengths = np.resize(np.arange(1, 131), n)
+    rng.shuffle(lengths)
+    starts = np.cumsum(lengths) - lengths
+    starts = starts[starts < n]
+    flags = np.zeros(n, dtype=bool)
+    flags[starts] = True
+    head_of = np.cumsum(flags) - 1
+    offset = np.arange(n) - starts[head_of]
+    # heads are the extreme; values move away from it inside the segment
+    values = (1000 - offset) if is_max else offset
+    want = values[starts][head_of]
+    want[flags] = -1
+    got = seg_extreme_scan(values, flags, -1, is_max=is_max)
+    assert got.tolist() == want.tolist()
+
+
+def test_carry_out_of_a_lone_unheaded_element():
+    # no head and no carry: position 0 opens the segment, so the carry
+    # out is the element itself, never clamped by the identity fill
+    values, flags = np.array([5]), np.array([False])
+    out = seg_extreme_scan(values, flags, 100, is_max=True)
+    assert out.tolist() == [100]
+    assert extreme_carry_out(values, flags, out, is_max=True) == 5
+    assert extreme_carry_out(values, flags, np.array([7]), is_max=True,
+                             carry=7) == 7
+
+
+def test_empty_vector():
+    out = seg_extreme_scan(np.array([], dtype=np.uint8),
+                           np.array([], dtype=bool), 0, is_max=True)
+    assert out.dtype == np.uint8 and len(out) == 0
+
+
+@pytest.mark.parametrize("density", [0.0, 1 / 64])
+@pytest.mark.parametrize("is_max", [True, False])
+def test_two_levels_of_row_carries(density, is_max):
+    """Past 64 * 1024 elements the row tails themselves span several
+    rows, so the carry scan recurses a second time."""
+    rng = np.random.default_rng(7)
+    n = 64 * 1024 + 4099
+    values = _values(rng, "float64", n)
+    flags = _flags(rng, n, density)
+    acc = np.maximum.accumulate if is_max else np.fmin.accumulate
+    heads = np.flatnonzero(flags)
+    want = np.empty(n)
+    for s, e in zip(heads, np.append(heads[1:], n)):
+        want[s] = 5.0
+        want[s + 1:e] = acc(values[s:e - 1])
+    got = seg_extreme_scan(values, flags, 5.0, is_max=is_max)
+    assert _same(got, want)

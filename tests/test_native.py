@@ -146,7 +146,7 @@ def test_seg_plus_scan_int_bit_identical(data):
 def test_seg_extreme_scan_bit_identical_including_nan(data):
     """Both directions, NaN-laced floats, non-bottom identities (the
     one-bit scans call seg_max_scan with identity=0): every tier matches
-    numpy's rank-encoding answer exactly."""
+    numpy's answer exactly."""
     is_max = data.draw(st.booleans())
     if data.draw(st.booleans()):
         dtype = data.draw(st.sampled_from(INT_DTYPES))
