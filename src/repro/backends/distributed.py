@@ -126,12 +126,14 @@ class DistributedBackend(NumPyBackend):
         return self.pool.ledger
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Distribution triples the footprint of carry-bearing ops: the
-        operands and result live a second time in shared memory, plus the
-        host-side result copy."""
+        """A carry-bearing op's host storage is the result copy alone:
+        operands and output live in the pool's shared-memory arena, which
+        persists across ops (at most 2x the latest op's bytes per role)
+        and so is no per-op temporary.  An estimate for observability;
+        nothing is charged for it."""
         if op in ("plus_scan", "max_scan", "seg_plus_scan",
                   "seg_extreme_scan", "reduce"):
-            return 3 * out_bytes
+            return out_bytes
         return super().temp_bytes(op, out_bytes)
 
     def _distribute(self, n: int) -> bool:

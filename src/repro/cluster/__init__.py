@@ -9,7 +9,7 @@ by sharding vectors across OS worker processes.  The layers, bottom up:
 * :mod:`~repro.cluster.exchange` — the Träff-style round-efficient
   exclusive carry exchange (⌈lg p⌉ combining rounds);
 * :mod:`~repro.cluster.worker` — the child-process command loop
-  (shared-memory attach, compute, checksum, reply);
+  (compute over the pool's shared-memory arena, checksum, reply);
 * :mod:`~repro.cluster.chaos` — deterministic scripted failures
   (kill/hang/corrupt) so every recovery path is testable;
 * :mod:`~repro.cluster.ledger` — the fault ledger with its reconciliation

@@ -5,8 +5,10 @@ sharded scan lives in :mod:`repro.cluster.shardops`; everything here is
 about surviving the processes that run it.  A :class:`WorkerPool` owns N
 worker processes and, per distributed op:
 
-1. publishes the operands into ``multiprocessing.shared_memory`` segments
-   (arrays never cross the command pipes),
+1. copies the operands into the pool's persistent shared-memory arena
+   (:class:`_ShmJob`: one segment per role, reused while the op stays in
+   the same power-of-two size class; arrays never cross the command
+   pipes),
 2. dispatches one contiguous shard per live worker (in waves when workers
    have died and shards outnumber survivors),
 3. combines the per-shard carries with the round-efficient exclusive
@@ -28,8 +30,8 @@ story; :mod:`repro.observe` metrics mirror the counts for dashboards.
 
 Pools are heavy (N processes), so module-level helpers keep one shared
 pool per worker count (:func:`shared_pool`) and an ``atexit`` hook
-guarantees every pool — shared or not — is torn down with its shared
-memory unlinked even when the host exits abruptly.
+guarantees every pool — shared or not — is torn down with its arena
+unlinked even when the host exits abruptly.
 """
 from __future__ import annotations
 
@@ -110,51 +112,79 @@ class _WorkerHandle:
         return self.seq
 
 
-class _ShmJob:
-    """Shared-memory segments for one distributed op.
+def _size_class(nbytes: int) -> int:
+    """The power-of-two segment size that holds ``nbytes``."""
+    return 1 << max(0, nbytes - 1).bit_length()
 
-    Creates a segment per operand plus the output, copies inputs in, and
-    owns close+unlink — unlinking happens here (host side) exactly once,
-    which is why workers unregister their attachments from the resource
-    tracker.
+
+class _ShmJob:
+    """The pool's shared-memory arena: one segment per role (``values``,
+    ``flags``, ``out``), reused across ops.
+
+    :meth:`load` publishes one op: it copies each operand into its role's
+    segment and hands out length-``n`` views (``out`` is left
+    uninitialized — only its shape and dtype are read).  A segment is
+    reused while the op's bytes fall in its power-of-two size class;
+    otherwise it is replaced by one of the op's class and the old one is
+    unlinked at once, so a role never holds more than 2x the latest op's
+    bytes.  A role the op does not use keeps its segment.  Constructing
+    with ``arrays`` loads them straight away, which makes a one-off job.
+
+    ``names`` maps each role to its segment's name (``None`` when the role
+    has none).  The host alone unlinks, in :meth:`close` or on
+    replacement, which is why workers never unregister their attachments
+    from the resource tracker.
     """
 
-    def __init__(self, arrays: dict):
+    def __init__(self, arrays: Optional[dict] = None):
         self._segments = {}
         self._views = {}
         self.names = {}
-        try:
-            for key, arr in arrays.items():
-                if arr is None:
-                    self.names[key] = None
-                    continue
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, arr.nbytes))
+        if arrays is not None:
+            try:
+                self.load(arrays)
+            except BaseException:
+                self.close()
+                raise
+
+    def load(self, arrays: dict) -> None:
+        self._views.clear()  # views describe one op; never a stale length
+        for key, arr in arrays.items():
+            if arr is None:
+                self.names.setdefault(key, None)
+                continue
+            size = _size_class(arr.nbytes)
+            shm = self._segments.get(key)
+            if shm is None or shm.size != size:
+                if shm is not None:
+                    self._release(key)
+                shm = shared_memory.SharedMemory(create=True, size=size)
                 self._segments[key] = shm
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                if key != "out":  # output starts uninitialized
-                    view[:] = arr
-                self._views[key] = view
                 self.names[key] = shm.name
-        except BaseException:
-            self.close()
-            raise
+            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+            if key != "out":
+                view[...] = arr
+            self._views[key] = view
 
     def view(self, key: str) -> np.ndarray:
         return self._views[key]
 
+    def _release(self, key: str) -> None:
+        shm = self._segments.pop(key)
+        self.names[key] = None
+        try:
+            shm.close()
+        except BufferError:  # a straggler view; unlink still proceeds
+            pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+
     def close(self) -> None:
         self._views.clear()
-        for shm in self._segments.values():
-            try:
-                shm.close()
-            except BufferError:  # a straggler view; unlink still proceeds
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments.clear()
+        for key in list(self._segments):
+            self._release(key)
 
 
 class WorkerPool:
@@ -174,6 +204,7 @@ class WorkerPool:
         self._rng = random.Random(0xC0FFEE)  # backoff jitter only, never results
         self._ctx = mp.get_context("fork")
         self._slots = [_WorkerHandle(i) for i in range(workers)]
+        self.arena = _ShmJob()  # segments appear at the first op
         # Start the resource tracker BEFORE forking: it normally launches
         # lazily at the first segment create, which happens after spawn —
         # each worker would then boot a private tracker whose cache never
@@ -257,6 +288,7 @@ class WorkerPool:
             if h.conn is not None:
                 h.conn.close()
             h.process, h.conn = None, None
+        self.arena.close()
         if self in _ALL_POOLS:
             _ALL_POOLS.remove(self)
 
@@ -536,51 +568,50 @@ class WorkerPool:
                  flags: Optional[np.ndarray] = None,
                  identity=None, is_max: bool = False) -> np.ndarray:
         """A full two-phase sharded scan with recovery; returns the result
-        (a fresh host array — shared memory is torn down before return)."""
+        as a fresh host array (the arena is reused by the next op)."""
         if op not in _SCAN_OPS:
             raise ValueError(f"unknown distributed op {op!r}")
         n = len(values)
         self._begin_op(n)
         live = self.live_workers()
         shards = self._partition(n, max(1, len(live)))
-        job = _ShmJob({"values": values, "flags": flags,
-                       "out": np.empty_like(values)})
-        try:
-            base = {
-                "cmd": "op", "op": op, "n": n,
-                "values": job.names["values"], "flags": job.names["flags"],
-                "out": job.names["out"], "dtype": values.dtype.str,
-                "flags_dtype": flags.dtype.str if flags is not None else None,
-                "identity": identity, "is_max": is_max,
-                "reduce_op": None, "carry": None,
-            }
-            phase1 = [(i, {**base, "phase": 1, "mode": "scan",
-                           "start": s, "stop": e})
-                      for i, (s, e) in enumerate(shards)]
-            carries_by_shard = self._run_phase(job, phase1)
-            carries = [carries_by_shard[i] for i in range(len(shards))]
+        job = self.arena
+        # "out" takes its shape and dtype from values; nothing is copied
+        job.load({"values": values, "flags": flags, "out": values})
+        base = {
+            "cmd": "op", "op": op, "n": n,
+            "values": job.names["values"],
+            "flags": job.names["flags"] if flags is not None else None,
+            "out": job.names["out"], "dtype": values.dtype.str,
+            "flags_dtype": flags.dtype.str if flags is not None else None,
+            "identity": identity, "is_max": is_max,
+            "reduce_op": None, "carry": None,
+        }
+        phase1 = [(i, {**base, "phase": 1, "mode": "scan",
+                       "start": s, "stop": e})
+                  for i, (s, e) in enumerate(shards)]
+        carries_by_shard = self._run_phase(job, phase1)
+        carries = [carries_by_shard[i] for i in range(len(shards))]
 
-            combine, ident = self._monoid(op, values.dtype, identity, is_max)
-            offsets, rounds = exclusive_exchange(carries, combine, ident)
-            self._m_rounds.observe(rounds)
+        combine, ident = self._monoid(op, values.dtype, identity, is_max)
+        offsets, rounds = exclusive_exchange(carries, combine, ident)
+        self._m_rounds.observe(rounds)
 
-            host_flags = job.view("flags") if flags is not None else None
-            phase2 = []
-            for i, (s, e) in enumerate(shards):
-                if s == e or self._offset_is_identity(
-                        op, offsets[i], identity, host_flags, s):
-                    continue
-                carry_value = (offsets[i][0]
-                               if op in ("seg_plus", "seg_extreme")
-                               else offsets[i])
-                phase2.append((i, {**base, "phase": 2, "mode": "apply",
-                                   "start": s, "stop": e,
-                                   "carry": carry_value}))
-            if phase2:
-                self._run_phase(job, phase2)
-            return np.array(job.view("out"), copy=True)
-        finally:
-            job.close()
+        host_flags = job.view("flags") if flags is not None else None
+        phase2 = []
+        for i, (s, e) in enumerate(shards):
+            if s == e or self._offset_is_identity(
+                    op, offsets[i], identity, host_flags, s):
+                continue
+            carry_value = (offsets[i][0]
+                           if op in ("seg_plus", "seg_extreme")
+                           else offsets[i])
+            phase2.append((i, {**base, "phase": 2, "mode": "apply",
+                               "start": s, "stop": e,
+                               "carry": carry_value}))
+        if phase2:
+            self._run_phase(job, phase2)
+        return np.array(job.view("out"), copy=True)
 
     def run_reduce(self, values: np.ndarray, reduce_op: str):
         """A sharded reduction: per-shard partials, combined host-side the
@@ -589,21 +620,19 @@ class WorkerPool:
         self._begin_op(n)
         live = self.live_workers()
         shards = self._partition(n, max(1, len(live)))
-        job = _ShmJob({"values": values, "flags": None, "out": None})
-        try:
-            cmds = [(i, {"cmd": "op", "op": "reduce", "phase": 1,
-                         "mode": "scan", "n": n, "start": s, "stop": e,
-                         "values": job.names["values"], "flags": None,
-                         "out": None, "dtype": values.dtype.str,
-                         "flags_dtype": None, "identity": None,
-                         "is_max": False, "reduce_op": reduce_op,
-                         "carry": None})
-                    for i, (s, e) in enumerate(shards)]
-            partials_by_shard = self._run_phase(job, cmds)
-            partials = [partials_by_shard[i] for i in range(len(shards))]
-            return shardops.reduce_combine(partials, reduce_op)
-        finally:
-            job.close()
+        job = self.arena
+        job.load({"values": values})
+        cmds = [(i, {"cmd": "op", "op": "reduce", "phase": 1,
+                     "mode": "scan", "n": n, "start": s, "stop": e,
+                     "values": job.names["values"], "flags": None,
+                     "out": None, "dtype": values.dtype.str,
+                     "flags_dtype": None, "identity": None,
+                     "is_max": False, "reduce_op": reduce_op,
+                     "carry": None})
+                for i, (s, e) in enumerate(shards)]
+        partials_by_shard = self._run_phase(job, cmds)
+        partials = [partials_by_shard[i] for i in range(len(shards))]
+        return shardops.reduce_combine(partials, reduce_op)
 
 
 # ----------------------- process-wide pool registry ---------------------- #

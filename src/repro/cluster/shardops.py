@@ -75,9 +75,14 @@ def carry_bytes(carry) -> bytes:
 
 
 def shard_checksum(out_slice, carry) -> int:
-    """CRC32 over a shard's written output bytes plus its carry payload."""
-    payload = b"" if out_slice is None else np.ascontiguousarray(out_slice).tobytes()
-    return zlib.crc32(payload + carry_bytes(carry))
+    """CRC32 over a shard's written output bytes plus its carry payload.
+
+    A running CRC straight over the slice's buffer, then the carry bytes:
+    the same value as ``crc32(out.tobytes() + carry_bytes(carry))``
+    without copying the shard."""
+    crc = 0 if out_slice is None else zlib.crc32(
+        np.ascontiguousarray(out_slice))
+    return zlib.crc32(carry_bytes(carry), crc)
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
-"""The worker process: attach, compute one shard, reply, repeat.
+"""The worker process: compute one shard, reply, repeat.
 
 Each worker is a daemonized child running :func:`worker_main` over one
 duplex pipe.  Commands are small picklable dicts; array payloads never
-cross the pipe — they live in :mod:`multiprocessing.shared_memory`
-segments the command names, which the worker attaches to per op and
-detaches from before replying.  The compute itself is a straight call into
+cross the pipe — they live in the pool's shared-memory arena
+(:class:`repro.cluster.pool._ShmJob`), one segment per role
+(``values``, ``flags``, ``out``) that the command names.  The worker keeps
+its attachment per role across commands and re-attaches only when a
+command names a different segment (the pool replaced it), closing the
+stale attachment first.  The compute itself is a straight call into
 :mod:`repro.cluster.shardops`, the same kernels the supervisor uses for
 degraded host-side shards.
 
@@ -23,11 +26,12 @@ the deadline for a hang, flipping real bits *after* the checksum for a
 corruption — so the supervisor always observes a genuine failure, never a
 simulated one.
 
-Hygiene notes: the worker drops its NumPy views before closing each
-segment (a live view makes ``close()`` raise ``BufferError``) and exits
-on a dead pipe so a crashed supervisor never leaves zombies behind; the
-supervisor alone unlinks segments (workers are forked, so attach-time
-re-registration with the shared resource tracker is a harmless no-op).
+Hygiene notes: the worker drops its NumPy views at the end of every
+command, so a stale attachment can be closed (a live view makes
+``close()`` raise ``BufferError``), and exits on a dead pipe so a crashed
+supervisor never leaves zombies behind; the supervisor alone unlinks
+segments (workers are forked, so attach-time re-registration with the
+shared resource tracker is a harmless no-op).
 """
 from __future__ import annotations
 
@@ -92,29 +96,41 @@ def _compute(cmd, values, flags, out):
     return None
 
 
-def _run_op(cmd) -> dict:
+def _segment(attached: dict, role: str, name: str):
+    """The worker's attachment for ``role``, re-attached only when the
+    command names a different segment (the stale one is closed first)."""
+    shm = attached.get(role)
+    if shm is not None and shm.name == name:
+        return shm
+    if shm is not None:
+        del attached[role]
+        try:
+            shm.close()
+        except BufferError:
+            pass
+    shm = attached[role] = _attach(name)
+    return shm
+
+
+def _run_op(cmd, attached: dict) -> dict:
     chaos = cmd.get("chaos")
     if chaos is not None and chaos[0] == "kill":
         os._exit(117)  # a real SIGKILL-grade death: no cleanup, no reply
     if chaos is not None and chaos[0] == "hang":
         time.sleep(chaos[1])
 
-    segments = []
+    values = flags = out = None
     try:
-        values = flags = out = None
         n, start, stop = cmd["n"], cmd["start"], cmd["stop"]
         if cmd["values"] is not None:
-            shm = _attach(cmd["values"])
-            segments.append(shm)
-            values = _view(shm, cmd["dtype"], n, start, stop)
+            values = _view(_segment(attached, "values", cmd["values"]),
+                           cmd["dtype"], n, start, stop)
         if cmd["flags"] is not None:
-            shm = _attach(cmd["flags"])
-            segments.append(shm)
-            flags = _view(shm, cmd["flags_dtype"], n, start, stop)
+            flags = _view(_segment(attached, "flags", cmd["flags"]),
+                          cmd["flags_dtype"], n, start, stop)
         if cmd["out"] is not None:
-            shm = _attach(cmd["out"])
-            segments.append(shm)
-            out = _view(shm, cmd["dtype"], n, start, stop)
+            out = _view(_segment(attached, "out", cmd["out"]),
+                        cmd["dtype"], n, start, stop)
 
         with np.errstate(all="ignore"):
             carry = _compute(cmd, values, flags, out)
@@ -136,12 +152,8 @@ def _run_op(cmd) -> dict:
         return {"ok": False, "seq": cmd["seq"],
                 "error": f"{type(exc).__name__}: {exc}"}
     finally:
-        del values, flags, out  # views pin the buffer; close() needs it free
-        for shm in segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass
+        # views pin the buffer; a later re-attach must be able to close it
+        del values, flags, out
 
 
 def worker_main(conn, supervisor_conn=None) -> None:
@@ -153,6 +165,7 @@ def worker_main(conn, supervisor_conn=None) -> None:
         # supervisor dies, so recv() below would never see EOF and a
         # SIGKILLed host would strand its workers forever.
         supervisor_conn.close()
+    attached: dict = {}  # role -> SharedMemory, kept across commands
     while True:
         try:
             cmd = conn.recv()
@@ -165,7 +178,7 @@ def worker_main(conn, supervisor_conn=None) -> None:
             reply = {"ok": True, "seq": cmd.get("seq"), "pong": True,
                      "pid": os.getpid()}
         else:
-            reply = _run_op(cmd)
+            reply = _run_op(cmd, attached)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):

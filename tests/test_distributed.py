@@ -16,10 +16,16 @@ additionally pin:
   computed, even when chaos kills a worker mid-scan (the acceptance test);
 * conformance-fuzzer parity against the numpy oracle.
 
-Chaos recovery paths get their own file (``test_distributed_chaos.py``),
+The shared-memory arena a pool reuses across ops is pinned here too
+(size-class growth and shrink, dtype and operand-set changes, chaos on a
+reused ``out``, a respawned worker re-attaching).  Chaos recovery paths
+get their own file (``test_distributed_chaos.py``),
 as does teardown hygiene (``test_distributed_teardown.py``).
 """
 import math
+import os
+import signal
+import zlib
 
 import numpy as np
 import pytest
@@ -154,6 +160,164 @@ class TestShardedCorrectness:
 
 
 # --------------------------------------------------------------------------- #
+# the persistent shared-memory arena
+# --------------------------------------------------------------------------- #
+
+
+def _private(actions=(), workers=2):
+    chaos = ChaosPlan(actions=tuple(actions)) if actions else None
+    return DistributedBackend(workers=workers, min_distribute=1,
+                              policy=QUICK, chaos=chaos)
+
+
+def _segment_sizes(backend) -> dict:
+    return {role: os.path.getsize(os.path.join("/dev/shm", name))
+            for role, name in backend.pool.arena.names.items() if name}
+
+
+class TestArenaReuse:
+    """Every op after the first runs in segments an earlier op left
+    behind; none of that may ever show in a result."""
+
+    oracle = NumPyBackend()
+
+    def test_growing_then_shrinking_across_size_classes(self):
+        backend = _private()
+        try:
+            for i, n in enumerate((1000, 1024, 5000, 70_000, 300, 5000, 1)):
+                r = _rng(i)
+                values = r.integers(-1000, 1000, size=n)
+                flags = r.random(n) < 0.05
+                flags[0] = True
+                np.testing.assert_array_equal(
+                    backend.plus_scan(values),
+                    self.oracle.plus_scan(values))
+                np.testing.assert_array_equal(
+                    backend.seg_plus_scan(values, flags),
+                    self.oracle.seg_plus_scan(values, flags))
+                # each role sits in the op's power-of-two size class
+                sizes = _segment_sizes(backend)
+                assert set(sizes) == {"values", "flags", "out"}
+                for role, nbytes in (("values", values.nbytes),
+                                     ("flags", flags.nbytes),
+                                     ("out", values.nbytes)):
+                    assert nbytes <= sizes[role] < 2 * nbytes
+            # workers followed every replacement: no shard needed the
+            # retry ladder (which would hide a stale attachment)
+            assert backend.ledger.failures == 0
+        finally:
+            backend.shutdown()
+
+    def test_flag_and_flagless_ops_interleaved_with_reduce(self, dist):
+        r = _rng(17)
+        n = 6000
+        values = r.integers(-500, 500, size=n)
+        flags = r.random(n) < 0.03
+        flags[0] = True
+        imax = scans.max_identity(values.dtype)
+        imin = scans.min_identity(values.dtype)
+        for step in range(2):
+            values = values[::-1].copy() if step else values
+            np.testing.assert_array_equal(dist.plus_scan(values),
+                                          self.oracle.plus_scan(values))
+            np.testing.assert_array_equal(
+                dist.seg_plus_scan(values, flags),
+                self.oracle.seg_plus_scan(values, flags))
+            assert dist.reduce(values, "sum") == self.oracle.reduce(values,
+                                                                    "sum")
+            np.testing.assert_array_equal(
+                dist.seg_extreme_scan(values, flags, imax, is_max=True),
+                self.oracle.seg_extreme_scan(values, flags, imax,
+                                             is_max=True))
+            np.testing.assert_array_equal(dist.max_scan(values, imax),
+                                          self.oracle.max_scan(values, imax))
+            assert dist.reduce(values, "max") == self.oracle.reduce(values,
+                                                                    "max")
+            np.testing.assert_array_equal(
+                dist.seg_extreme_scan(values, ~flags, imin, is_max=False),
+                self.oracle.seg_extreme_scan(values, ~flags, imin,
+                                             is_max=False))
+
+    @pytest.mark.parametrize("int_dtype, float_dtype",
+                             [("int64", "float64"), ("int32", "float32")])
+    def test_float_op_after_int_op_of_the_same_byte_size(self, int_dtype,
+                                                          float_dtype):
+        backend = _private()
+        try:
+            n = 5000
+            ints = _rng(3).integers(0, 50, size=n).astype(int_dtype)
+            np.testing.assert_array_equal(backend.plus_scan(ints),
+                                          self.oracle.plus_scan(ints))
+            names = dict(backend.pool.arena.names)
+            floats = _rng(4).integers(0, 50, size=n).astype(float_dtype)
+            got = backend.plus_scan(floats)
+            assert got.dtype == np.dtype(float_dtype)
+            np.testing.assert_array_equal(got, self.oracle.plus_scan(floats))
+            fmax = _rng(5).standard_normal(n).astype(float_dtype)
+            ident = scans.max_identity(fmax.dtype)
+            np.testing.assert_array_equal(backend.max_scan(fmax, ident),
+                                          self.oracle.max_scan(fmax, ident))
+            assert backend.pool.arena.names == names  # same segments reused
+        finally:
+            backend.shutdown()
+
+    @pytest.mark.parametrize("kind", ["kill", "corrupt"])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_chaos_after_a_same_size_op_never_returns_stale_out(self, kind,
+                                                                phase):
+        # op 0 leaves its result in the arena's out segment; op 1, the same
+        # size with different values, loses a shard to chaos (worker 0 runs
+        # shard 0 in phase 1 and the only phase-2 apply, shard 1's)
+        backend = _private([ChaosAction(op_id=1, worker=0, kind=kind,
+                                        phase=phase)])
+        try:
+            n = 9000
+            first = _rng(8).integers(1, 100, size=n)
+            second = _rng(9).integers(1, 100, size=n)
+            flags = np.zeros(n, dtype=bool)
+            flags[::700] = True
+            kept = backend.seg_plus_scan(first, flags)
+            np.testing.assert_array_equal(
+                kept, self.oracle.seg_plus_scan(first, flags))
+            got = backend.seg_plus_scan(second, flags)
+            np.testing.assert_array_equal(
+                got, self.oracle.seg_plus_scan(second, flags))
+            # a returned result is the caller's, not a view of the arena
+            np.testing.assert_array_equal(
+                kept, self.oracle.seg_plus_scan(first, flags))
+            led = backend.ledger
+            assert led.chaos_kills + led.chaos_corruptions == 1
+            assert led.retries == 1 and led.reconciles()
+        finally:
+            backend.shutdown()
+
+    def test_respawned_worker_reattaches_to_the_arena(self):
+        backend = _private()
+        try:
+            n = 8000
+            values = _rng(12).integers(0, 1000, size=n)
+            backend.plus_scan(values)
+            names = dict(backend.pool.arena.names)
+            victim = backend.pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            backend.pool._slots[0].process.join(timeout=10.0)
+            assert victim not in backend.pool.worker_pids()
+            # the next op's health sweep respawns the slot; the new process
+            # must attach to the existing segments and compute its shard
+            for seed in (13, 14):
+                values = _rng(seed).integers(0, 1000, size=n)
+                np.testing.assert_array_equal(backend.plus_scan(values),
+                                              self.oracle.plus_scan(values))
+            pids = backend.pool.worker_pids()
+            assert victim not in pids and len(pids) == 2
+            assert backend.ledger.respawns == 1
+            assert backend.ledger.failures == 0  # nothing was retried
+            assert backend.pool.arena.names == names
+        finally:
+            backend.shutdown()
+
+
+# --------------------------------------------------------------------------- #
 # the exclusive carry exchange
 # --------------------------------------------------------------------------- #
 
@@ -210,6 +374,20 @@ class TestShardOps:
         flipped = out.copy()
         flipped[3] ^= 1
         assert shardops.shard_checksum(flipped, np.int64(5)) != base
+
+    @pytest.mark.parametrize("out", [
+        np.arange(-5, 11, dtype=np.int64), np.arange(40, dtype=np.uint8),
+        np.linspace(-1.0, 1.0, 9), np.array([True, False, True]),
+        np.arange(30, dtype=np.int32)[7:19], np.empty(0), None,
+    ], ids=["int64", "uint8", "float64", "bool", "slice", "empty", "none"])
+    @pytest.mark.parametrize("carry", [
+        None, np.int64(-3), np.float64(0.5), (np.int64(7), True),
+        (None, False),
+    ], ids=["none", "int", "float", "pair", "empty-pair"])
+    def test_checksum_matches_the_concatenated_bytes(self, out, carry):
+        payload = b"" if out is None else np.ascontiguousarray(out).tobytes()
+        want = zlib.crc32(payload + shardops.carry_bytes(carry))
+        assert shardops.shard_checksum(out, carry) == want
 
     def test_carry_bytes_tags_shapes_apart(self):
         # a scalar carry, a pair carry, and None must never collide just

@@ -1,17 +1,18 @@
 """Teardown hygiene: no leaked shared memory, no orphaned processes.
 
-A pool is N OS processes plus shared-memory segments per op; sloppy
-teardown shows up as ``/dev/shm`` junk, resource-tracker leak warnings, and
-zombie workers — none of which a test suite should leave behind.  Pinned
-here:
+A pool is N OS processes plus a shared-memory arena of at most one
+segment per role, reused across ops; sloppy teardown shows up as
+``/dev/shm`` junk, resource-tracker leak warnings, and zombie workers —
+none of which a test suite should leave behind.  Pinned here:
 
-* a pool's shared-memory footprint is zero between ops (segments are
-  unlinked in the op's ``finally``, even when chaos degraded shards);
+* between ops ``/dev/shm`` holds exactly the pool's arena segments (even
+  when chaos degraded shards), a second op of the same size class creates
+  no new name, and ``shutdown()`` unlinks the arena;
 * ``shutdown()`` reaps every worker (no zombies, no survivors) and is
   idempotent;
 * abrupt host death — SIGKILL, the one signal ``atexit`` cannot catch —
   still converges to a clean machine: workers exit on pipe EOF and the
-  resource tracker unlinks the registered segments;
+  resource tracker unlinks the arena segments a real op created;
 * a ``KeyboardInterrupt`` escaping the test runner (the "pytest
   interrupted" case) tears down through the ``atexit`` hook.
 """
@@ -52,6 +53,10 @@ def proc_gone(pid: int) -> bool:
     return state in ("X", "x")
 
 
+def arena_segments(backend) -> set:
+    return {name for name in backend.pool.arena.names.values() if name}
+
+
 def wait_until(predicate, timeout=10.0) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -72,8 +77,15 @@ class TestInProcessTeardown:
         flags[0] = True
         backend.seg_plus_scan(values, flags)
 
-        # between ops every segment is already unlinked
-        assert shm_segments() == baseline
+        # between ops /dev/shm holds the arena: one segment per role
+        arena = arena_segments(backend)
+        assert len(arena) == 3
+        assert shm_segments() - baseline == arena
+        # a second op of the same size class reuses every segment
+        backend.seg_plus_scan(values[::-1].copy(), ~flags)
+        backend.reduce(values, "sum")
+        assert arena_segments(backend) == arena
+        assert shm_segments() - baseline == arena
 
         pids = backend.pool.worker_pids()
         assert len(pids) == 2
@@ -84,8 +96,8 @@ class TestInProcessTeardown:
 
     def test_chaos_degraded_op_still_unlinks_segments(self):
         # sticky corruption on every worker exhausts the retry budget: the
-        # op ends through retries AND degradations, and the finally-block
-        # must still tear the segments down
+        # op ends through retries AND degradations, and still leaves only
+        # the arena behind
         baseline = shm_segments()
         policy = RetryPolicy(op_deadline=5.0, backoff_base=0.01,
                              heartbeat_interval=1000.0, max_retries=1,
@@ -101,7 +113,9 @@ class TestInProcessTeardown:
         np.testing.assert_array_equal(out, np.concatenate(([0],
                                       np.cumsum(values[:-1]))))
         assert backend.ledger.degraded_shards >= 1  # the ladder really ran
-        assert shm_segments() == baseline
+        arena = arena_segments(backend)
+        assert len(arena) == 2  # values and out; a plus_scan has no flags
+        assert shm_segments() - baseline == arena
 
         pids = backend.pool.worker_pids()
         backend.shutdown()
@@ -121,25 +135,29 @@ def _run_script(body: str, timeout=60.0):
 class TestHostDeathTeardown:
     def test_sigkilled_host_converges_to_clean_machine(self):
         # SIGKILL skips atexit entirely: the workers must notice pipe EOF
-        # and exit, and the resource tracker must unlink the segments the
-        # dead host never got to
+        # and exit, and the resource tracker must unlink the arena
+        # segments the dead host never got to
         script = """\
 import json, os, signal
 import numpy as np
-from repro.cluster.pool import WorkerPool, _ShmJob, RetryPolicy
+from repro.cluster.pool import WorkerPool, RetryPolicy
 
 pool = WorkerPool(2, policy=RetryPolicy(op_deadline=5.0))
-job = _ShmJob({"values": np.arange(50_000), "flags": None,
-               "out": np.empty(50_000, dtype=np.int64)})
-print(json.dumps({"pids": pool.worker_pids(),
-                  "segments": [n for n in job.names.values() if n]}),
+flags = np.zeros(50_000, dtype=bool)
+flags[::1000] = True
+pool.run_scan("seg_plus", np.arange(50_000), flags=flags)
+names = [n for n in pool.arena.names.values() if n]
+print(json.dumps({"pids": pool.worker_pids(), "segments": names,
+                  "live": all(os.path.exists("/dev/shm/" + n)
+                              for n in names)}),
       flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
         proc = _run_script(script)
         assert proc.returncode == -9, proc.stderr
         info = json.loads(proc.stdout)
-        assert len(info["pids"]) == 2 and len(info["segments"]) == 2
+        assert len(info["pids"]) == 2 and len(info["segments"]) == 3
+        assert info["live"]  # the arena outlives the op that created it
 
         for pid in info["pids"]:
             assert wait_until(lambda: proc_gone(pid)), (
