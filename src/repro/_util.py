@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ceil_log2", "ceil_div", "as_int_array", "as_bool_array"]
+__all__ = ["ceil_log2", "ceil_div", "as_int_array", "as_bool_array",
+           "indices_distinct"]
 
 
 def ceil_log2(n: int) -> int:
@@ -22,6 +23,20 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError(f"ceil_div requires b > 0, got {b}")
     return -(-a // b)
+
+
+def indices_distinct(idx: np.ndarray, length: int) -> bool:
+    """Whether the integer indices ``idx``, all already checked to lie in
+    ``[0, length)``, are pairwise distinct.
+
+    Marks every target in a ``length``-cell table and counts the marked
+    cells: O(n + length) work, against the hash or sort of
+    ``np.unique``.  This is the exclusive-write check behind ``permute``
+    (an O(1)-step, linear-work primitive in the paper's Section 2.1).
+    """
+    seen = np.zeros(length, dtype=bool)
+    seen[idx] = True
+    return int(np.count_nonzero(seen)) == len(idx)
 
 
 def as_int_array(data) -> np.ndarray:

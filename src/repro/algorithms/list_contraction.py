@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .._util import indices_distinct
 from ..machine.model import Machine
 
 __all__ = ["ContractionResult", "list_contraction", "serial_list_ranks"]
@@ -43,7 +44,8 @@ def _find_head(next_: np.ndarray) -> int:
     if len(tails) != 1:
         raise ValueError(f"expected exactly one tail (-1), got {len(tails)}")
     targets = next_[next_ >= 0]
-    if np.any(targets >= n) or len(np.unique(targets)) != len(targets):
+    # range check first: the distinctness table is only n cells long
+    if np.any(targets >= n) or not indices_distinct(targets, n):
         raise ValueError("next pointers must form a single chain "
                          "(each node at most one predecessor)")
     # with unique targets and one tail there is exactly one unpointed

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util import ceil_log2
+from .._util import ceil_log2, indices_distinct
 from ..core import ops, segmented
 from ..core.vector import Vector
 from ..machine.model import Machine
@@ -92,7 +92,7 @@ class SparseMatrix:
         # this a concurrent read; EREW-family machines simulate it with a
         # sort-and-segmented-copy, charged as lg n extra on this one step.
         idx = self.col.data
-        if len(np.unique(idx)) == len(idx):
+        if indices_distinct(idx, self.shape[1]):
             xs = xv.gather(self.col)
         else:
             if m.capabilities.concurrent_read:

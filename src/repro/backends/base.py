@@ -73,6 +73,12 @@ class Backend(ABC):
     #: the bare name is the whole syntax (no arguments accepted)
     spec_syntax: ClassVar[str] = ""
 
+    #: whether this engine executes lazy expression DAGs
+    #: (:mod:`repro.core.lazy`) through a chunked ``fused_pipeline``; on
+    #: every other engine elementwise ops run eagerly whatever the
+    #: machine's ``fusion`` setting (see ``Machine.fusion_enabled``)
+    fuses: ClassVar[bool] = False
+
     @classmethod
     def from_spec(cls, arg: str) -> "Backend":
         """Build an instance from the spec's argument part (the text after
@@ -149,49 +155,14 @@ class Backend(ABC):
         *estimate*: exact allocator truth needs ``tracemalloc``, which
         costs far too much to leave attached.
 
-        ``fused_pipeline`` reports the executor's own accounting: every
-        implementation records its peak live intermediate bytes while a
-        plan runs (``_fused_temp``), which is how a profiler sees fusion's
-        memory win per pipeline rather than a guess.
+        ``fused_pipeline`` (on engines that fuse) reports the executor's
+        own accounting: it records its chunk-bounded intermediate bytes
+        while a plan runs (``_fused_temp``), which is how a profiler sees
+        fusion's memory win per pipeline rather than a guess.
         """
         if op == "fused_pipeline":
             return int(getattr(self, "_fused_temp", out_bytes))
         return out_bytes
-
-    # ------------------------------------------------------------------ #
-    # Fused pipelines (lazy expression DAGs, repro.core.lazy)
-    # ------------------------------------------------------------------ #
-
-    def fused_pipeline(self, plan) -> np.ndarray:
-        """Execute one :class:`~repro.backends.plan.FusedPlan`.
-
-        The default implementation **replays** the plan through the
-        backend's existing per-op methods — each elementwise step through
-        :meth:`elementwise`, the terminal scan (if any) through
-        :meth:`plus_scan` / :meth:`max_scan` — so every backend is
-        conformant the moment it exists; backends with a fusion story
-        (NumPy's chained ``out=`` evaluation, the blocked backend's
-        per-chunk carry loop) override this for the memory win.  Like all
-        backend methods it charges nothing: the machine computed the
-        plan's logical charges before dispatching it.
-        """
-        env: list = []
-        live = 0
-        peak = 0
-        for step in plan.steps:
-            args = [plan.resolve(ref, env) for ref in step.args]
-            out = self.elementwise(step.as_callable(), *args)
-            env.append(out)
-            live += out.nbytes
-            peak = max(peak, live)
-        out = env[-1]
-        if plan.terminal is not None:
-            out = getattr(self, plan.terminal)(out, *plan.terminal_args)
-            peak = max(peak, live + out.nbytes)
-        # every intermediate is materialized whole: report their true
-        # footprint (minus the result itself, which is out_bytes)
-        self._fused_temp = max(0, peak - out.nbytes)
-        return out
 
     # ------------------------------------------------------------------ #
     # Elementwise

@@ -43,6 +43,7 @@ class BlockedBackend(Backend):
 
     name = "blocked"
     spec_syntax = "blocked[:<chunk>]"
+    fuses = True
 
     @classmethod
     def from_spec(cls, arg: str) -> "BlockedBackend":
@@ -83,27 +84,6 @@ class BlockedBackend(Backend):
 
     # ------------------------ fused pipelines -------------------------- #
 
-    def _eval_chunk(self, plan, s: int, e: int) -> np.ndarray:
-        """Evaluate the plan's elementwise chain on rows ``[s, e)`` alone.
-
-        Every intermediate is ``(e - s)``-sized, so a fused chain's
-        working storage is chunk-bounded no matter the vector length —
-        the same guarantee the per-primitive chunk loops give, but held
-        across the *whole* chain at once.
-        """
-        env: list = []
-        for step in plan.steps:
-            args = []
-            for tag, payload in step.args:
-                if tag == "in":       # full-length leaf: take this chunk
-                    args.append(plan.inputs[payload][s:e])
-                elif tag == "step":   # already chunk-sized
-                    args.append(env[payload])
-                else:                 # scalar immediate
-                    args.append(payload)
-            env.append(step.as_callable()(*args))
-        return env[-1]
-
     def fused_pipeline(self, plan) -> np.ndarray:
         """Fold the elementwise chain into the per-chunk carry loop.
 
@@ -119,20 +99,16 @@ class BlockedBackend(Backend):
         """
         n = plan.n
         dtype = plan.root_dtype
-        out = np.empty(n, dtype=dtype)
-        per_chunk = min(n, self.chunk)
         # chain intermediates + the evaluated chunk, all chunk-sized
         self._fused_temp = (len(plan.steps)
-                            * per_chunk * max(1, dtype.itemsize))
+                            * min(n, self.chunk) * max(1, dtype.itemsize))
         if plan.terminal is None:
-            for s, e in self._spans(n):
-                out[s:e] = self._eval_chunk(plan, s, e)
-            return out
+            return plan.evaluate(self.chunk)
+        out = np.empty(n, dtype=dtype)
         if plan.terminal == "plus_scan":
             carry = dtype.type(0)
             with np.errstate(over="ignore"):  # modular carries wrap
-                for s, e in self._spans(n):
-                    seg = self._eval_chunk(plan, s, e)
+                for s, e, seg in plan.chunks(self.chunk):
                     out[s] = carry
                     np.cumsum(seg[:-1], out=out[s + 1:e])
                     out[s + 1:e] += carry
@@ -141,8 +117,7 @@ class BlockedBackend(Backend):
         # max_scan terminal
         (identity,) = plan.terminal_args
         carry = np.asarray(identity, dtype=dtype)[()]
-        for s, e in self._spans(n):
-            seg = self._eval_chunk(plan, s, e)
+        for s, e, seg in plan.chunks(self.chunk):
             out[s] = carry
             np.maximum.accumulate(seg[:-1], out=out[s + 1:e])
             np.maximum(out[s + 1:e], carry, out=out[s + 1:e])

@@ -244,6 +244,7 @@ class NativeBackend(NumPyBackend):
 
     name = "native"
     spec_syntax = "native[:<threads>[:<block>]]"
+    fuses = True
 
     @classmethod
     def from_spec(cls, arg: str) -> "NativeBackend":
@@ -317,7 +318,7 @@ class NativeBackend(NumPyBackend):
         block) plus, on the pure path, chunk-bounded NumPy temporaries —
         the segmented extreme kernel holds about 1.6 of them."""
         if op == "fused_pipeline":
-            return int(getattr(self, "_fused_temp", out_bytes))
+            return super().temp_bytes(op, out_bytes)
         per_block = min(out_bytes, self.block * 8)
         partials = 2 * max(1, out_bytes // max(1, self.block * 8)) * 8
         if op == "seg_extreme_scan" and not self.compiled:
@@ -495,50 +496,25 @@ class NativeBackend(NumPyBackend):
     # into the scan's input buffer, then one two-phase sweep over it
     # ------------------------------------------------------------------ #
 
-    def _eval_chunk(self, plan, s: int, e: int) -> np.ndarray:
-        """The plan's elementwise chain on rows ``[s, e)`` alone; every
-        intermediate is ``(e - s)``-sized (the blocked backend's chunked
-        chain evaluation, reused as this backend's per-block one)."""
-        env: list = []
-        for step in plan.steps:
-            args = []
-            for tag, payload in step.args:
-                if tag == "in":
-                    args.append(plan.inputs[payload][s:e])
-                elif tag == "step":
-                    args.append(env[payload])
-                else:
-                    args.append(payload)
-            env.append(step.as_callable()(*args))
-        return env[-1]
-
     def fused_pipeline(self, plan) -> np.ndarray:
         """Fold the chain into the per-block schedule.
 
-        The chain is evaluated one block at a time into the preallocated
-        scan input (chunk-bounded chain temporaries, exactly like the
-        blocked backend's fused carry loop), and the terminal scan then
-        runs as the ordinary two-phase sweep over that buffer — so fused
-        results are bit-identical to eager native execution, and a fused
-        ``plus_scan(a*b + c)`` materializes one full-length buffer plus
-        one block of chain intermediates.  Plans without a terminal scan
-        use NumPy's pooled whole-vector evaluation (nothing to sweep).
+        The chain is evaluated one block at a time into a preallocated
+        buffer by the blocked engine's chunk evaluator
+        (:meth:`~repro.backends.plan.FusedPlan.chunks`), and the terminal
+        scan, if any, then runs as the ordinary two-phase sweep over that
+        buffer — so fused results are bit-identical to eager native
+        execution, and a fused ``plus_scan(a*b + c)`` materializes one
+        full-length buffer plus one block of chain intermediates.
         """
         n = plan.n
-        if plan.terminal is None or n < 2:
-            return super().fused_pipeline(plan)
-        dtype = plan.root_dtype
-        root = np.empty(n, dtype=dtype)
-        per_block = min(n, self.block)
-        for s in range(0, n, self.block):
-            e = min(s + self.block, n)
-            root[s:e] = self._eval_chunk(plan, s, e)
-        out = getattr(self, plan.terminal)(root, *plan.terminal_args)
-        # the chain's block-sized intermediates + the materialized scan
-        # input + the per-block partials
-        self._fused_temp = (len(plan.steps) * per_block
-                            * max(1, dtype.itemsize)
-                            + root.nbytes
-                            + 2 * _nblocks(n, self.block)
-                            * max(1, dtype.itemsize))
-        return out
+        itemsize = max(1, plan.root_dtype.itemsize)
+        root = plan.evaluate(self.block)
+        # the chain's block-sized intermediates
+        self._fused_temp = len(plan.steps) * min(n, self.block) * itemsize
+        if plan.terminal is None:
+            return root
+        # + the materialized scan input + the per-block partials
+        self._fused_temp += (root.nbytes
+                             + 2 * _nblocks(n, self.block) * itemsize)
+        return getattr(self, plan.terminal)(root, *plan.terminal_args)

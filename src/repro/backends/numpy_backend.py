@@ -60,96 +60,6 @@ class NumPyBackend(Backend):
             return 13 * out_bytes // 8
         return super().temp_bytes(op, out_bytes)
 
-    # ------------------------ fused pipelines -------------------------- #
-
-    def fused_pipeline(self, plan) -> np.ndarray:
-        """Chained ufunc evaluation over preallocated ``out=`` buffers.
-
-        Each step writes into a buffer of its probed result dtype — for a
-        ufunc via its own ``out=`` parameter, for ``where`` / ``cast`` via
-        ``np.copyto`` — and a buffer whose step has no remaining consumers
-        returns to a free pool keyed on ``(dtype, length)``.  A chain of k
-        ops therefore peaks at its *live width* (usually 1–2 buffers),
-        not k whole-vector temporaries, while every value stays
-        bit-identical to eager evaluation because the ufunc, the operand
-        order and the result dtype are exactly the eager ones.  Opaque
-        ``custom`` steps allocate normally and the chain fuses around
-        them.
-        """
-        steps = plan.steps
-        # remaining-consumer counts per step; the root holds one extra
-        # reference as the pipeline's output
-        refs = [0] * len(steps)
-        for step in steps:
-            for tag, payload in step.args:
-                if tag == "step":
-                    refs[payload] += 1
-        refs[-1] += 1
-        pool: dict[tuple, list] = {}
-        pooled: set[int] = set()
-        env: list = []
-        live = 0
-        peak = 0
-
-        def take(dtype) -> np.ndarray:
-            nonlocal live, peak
-            free = pool.get((dtype.str, plan.n))
-            if free:
-                return free.pop()
-            buf = np.empty(plan.n, dtype=dtype)
-            pooled.add(id(buf))
-            live += buf.nbytes
-            peak = max(peak, live)
-            return buf
-
-        def retire(step) -> None:
-            # return operand buffers whose last consumer this step was
-            for tag, payload in step.args:
-                if tag == "step":
-                    refs[payload] -= 1
-                    if refs[payload] == 0 and id(env[payload]) in pooled:
-                        dead = env[payload]
-                        pool.setdefault((dead.dtype.str, plan.n),
-                                        []).append(dead)
-
-        for j, step in enumerate(steps):
-            args = [plan.resolve(ref, env) for ref in step.args]
-            if step.kind == "ufunc":
-                # retire dying operands *before* taking the out buffer: an
-                # elementwise ufunc may safely write over its own input
-                # (np.add(a, 1, out=a)), so a buffer read for the last
-                # time here can be this step's destination — the chain's
-                # common a-op-b-op-c spine then runs in one buffer
-                retire(step)
-                buf = take(step.dtype)
-                step.fn(*args, out=buf)
-                env.append(buf)
-                continue
-            if step.kind == "where":
-                # the two-pass copyto would clobber a condition/operand it
-                # aliased, so the out buffer is taken before retiring
-                cond, a, b = args
-                buf = take(step.dtype)
-                np.copyto(buf, b)
-                np.copyto(buf, a, where=cond)
-            elif step.kind == "cast":
-                buf = take(step.dtype)
-                np.copyto(buf, args[0], casting="unsafe")
-            else:  # custom: opaque callable, fresh allocation (a custom
-                # fn may return a view of an input, so it never re-enters
-                # the write pool)
-                buf = step.fn(*args)
-                live += buf.nbytes
-                peak = max(peak, live)
-            retire(step)
-            env.append(buf)
-        out = env[-1]
-        if plan.terminal is not None:
-            out = getattr(self, plan.terminal)(out, *plan.terminal_args)
-            peak = max(peak, live + out.nbytes)
-        self._fused_temp = max(0, peak - out.nbytes)
-        return out
-
     # -------------------------- elementwise --------------------------- #
 
     def elementwise(self, fn: Callable, *operands) -> np.ndarray:

@@ -15,8 +15,7 @@ Step kinds (the full elementwise vocabulary of
 
 * ``"ufunc"`` — ``fn`` is a NumPy ufunc applied to the operands; the
   recorded ``dtype`` is NumPy's own result dtype (probed on zero-length
-  slices at build time), so a backend may evaluate into a preallocated
-  ``out=`` buffer of that dtype and get bit-identical results;
+  slices at build time);
 * ``"where"`` — the three-operand select ``np.where(flags, a, b)``;
 * ``"cast"`` — ``operand.astype(dtype)`` (unsafe casting, NumPy's
   ``astype`` default);
@@ -30,7 +29,7 @@ Operand references are tagged tuples: ``("in", i)`` names
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class PlanStep:
                              f"expected one of {STEP_KINDS}")
 
     def as_callable(self) -> Callable:
-        """The step as a plain elementwise callable, for backends that
-        replay steps through their existing ``elementwise`` method."""
+        """The step as a plain elementwise callable (what
+        :meth:`FusedPlan.chunks` applies to each chunk of the operands)."""
         if self.kind == "cast":
             dt = self.dtype
             return lambda a: a.astype(dt)
@@ -96,14 +95,33 @@ class FusedPlan:
         scan, which preserves its operand's dtype)."""
         return self.steps[-1].dtype
 
-    def resolve(self, ref, env: list):
-        """Dereference one operand: ``env`` holds computed step outputs."""
-        tag, payload = ref
-        if tag == "in":
-            return self.inputs[payload]
-        if tag == "step":
-            return env[payload]
-        return payload  # "const": the scalar itself
+    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Evaluate the chain ``size`` rows at a time, yielding
+        ``(s, e, rows)`` with ``rows`` the root's values on ``[s, e)``.
+
+        This is the one chain evaluator of the fusing engines.  Every
+        intermediate is at most ``size`` elements, so a fused chain's
+        working storage is chunk-bounded no matter the vector length, and
+        each step applies the eager ufunc to the eager operand order in
+        the eager dtype, so values are bit-identical to eager execution.
+        """
+        for s in range(0, self.n, size):
+            e = min(s + size, self.n)
+            env: list = []
+            for step in self.steps:
+                args = [self.inputs[x][s:e] if tag == "in"
+                        else env[x] if tag == "step" else x
+                        for tag, x in step.args]
+                env.append(step.as_callable()(*args))
+            yield s, e, env[-1]
+
+    def evaluate(self, size: int) -> np.ndarray:
+        """The root's values for all ``n`` rows, computed ``size`` rows
+        at a time by :meth:`chunks` (the terminal is not applied)."""
+        out = np.empty(self.n, dtype=self.root_dtype)
+        for s, e, rows in self.chunks(size):
+            out[s:e] = rows
+        return out
 
     def describe(self) -> str:  # pragma: no cover - cosmetic
         ops = [s.fn.__name__ if s.kind == "ufunc" else s.kind

@@ -1,6 +1,7 @@
 """The lazy expression DAG behind :class:`~repro.core.vector.Vector`.
 
-With fusion enabled (see :class:`repro.machine.Machine`), elementwise
+On a backend that fuses (``Backend.fuses``: ``blocked`` and ``native``)
+with fusion allowed (see :class:`repro.machine.Machine`), elementwise
 vector operations do not materialize: they build one immutable
 :class:`LazyNode` per operation — a small DAG whose leaves are already
 materialized arrays and scalar immediates — and defer computation until an
@@ -21,10 +22,12 @@ Two invariants make laziness undetectable from the cost model's side:
 
 Forcing compiles the reachable, not-yet-materialized subgraph into a
 :class:`~repro.backends.plan.FusedPlan` and executes it through the
-machine's single dispatch point as one ``fused_pipeline`` primitive; the
-root node caches its result, so forcing is idempotent and a node shared
-by several consumers is an input leaf to any plan compiled after it was
-forced.
+machine's single dispatch point as one ``fused_pipeline`` primitive,
+evaluated chunk by chunk; the root node caches its result, so forcing is
+idempotent and a node shared by several consumers is an input leaf to any
+plan compiled after it was forced.  Other backends never see a DAG: on
+short vectors, building and compiling one costs more than the eager ops
+it replaces (see ``docs/fusion.md``).
 """
 from __future__ import annotations
 

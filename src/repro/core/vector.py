@@ -12,7 +12,8 @@ Vectors are immutable: operations return new vectors, and the underlying
 buffer is marked read-only, so accidental aliasing cannot corrupt step
 accounting or results.
 
-With fusion enabled on the machine (the default; see
+On a backend that fuses (``blocked`` and ``native``, whose chunked
+executors consume the DAG) with fusion allowed on the machine (see
 :class:`~repro.machine.Machine` and ``docs/fusion.md``), elementwise
 operations are **lazy**: they charge their program steps immediately — in
 exactly eager order, so step counts are bit-identical either way — but
@@ -22,7 +23,8 @@ defer computation into a small expression DAG
 *forces* the pending chain: the DAG is compiled to one
 :class:`~repro.backends.plan.FusedPlan` and executed by the backend as a
 single ``fused_pipeline`` primitive.  ``len()`` and ``.dtype`` never
-force — shape and type are known at build time.
+force — shape and type are known at build time.  On every other backend
+elementwise operations execute eagerly, one backend op each.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .._util import indices_distinct
 from ..machine.model import CapabilityError, Machine
 from .lazy import LazyNode, compile_plan, probe_dtype
 
@@ -386,7 +389,7 @@ class Vector:
                 f"permute index out of range [0, {n_out}): "
                 f"[{idx.min() if len(idx) else ''}, {idx.max() if len(idx) else ''}]"
             )
-        if len(np.unique(idx)) != len(idx):
+        if not indices_distinct(idx, n_out):
             raise CapabilityError(
                 "permute requires unique indices (exclusive write); use "
                 "combine_write for colliding destinations"
@@ -406,7 +409,7 @@ class Vector:
         idx = index._data
         if len(idx) and (idx.min() < 0 or idx.max() >= len(self)):
             raise IndexError("gather index out of range")
-        unique = len(np.unique(idx)) == len(idx)
+        unique = indices_distinct(idx, len(self))
         self.machine.charge_gather(max(len(self), len(idx)), unique=unique)
         return self._wrap(self.machine.execute("gather", self._data, idx))
 

@@ -38,8 +38,9 @@ from .counters import FaultCounters, ForkCounters, StepCounter, StepSnapshot
 
 __all__ = ["Machine", "CapabilityError"]
 
-#: environment variable toggling lazy fusion (``0`` off / ``1`` on),
-#: mirroring ``REPRO_BACKEND``; an explicit ``Machine(fusion=...)`` wins
+#: environment variable allowing lazy fusion (``0`` off / ``1`` on) on
+#: backends that fuse, mirroring ``REPRO_BACKEND``; an explicit
+#: ``Machine(fusion=...)`` wins
 FUSION_ENV_VAR = "REPRO_FUSION"
 
 _FUSION_VALUES = {"1": True, "true": True, "on": True, "yes": True,
@@ -118,15 +119,18 @@ class Machine:
         and fault handling are backend-independent (see
         :mod:`repro.backends`).
     fusion:
-        Whether elementwise vector operations build lazy expression DAGs
-        fused into single ``fused_pipeline`` primitives at observable
+        Whether elementwise vector operations may build lazy expression
+        DAGs fused into single ``fused_pipeline`` primitives at observable
         boundaries (see :mod:`repro.core.lazy` and ``docs/fusion.md``).
         ``None`` (default) honors the ``REPRO_FUSION`` environment
-        variable (``0`` / ``1``) before falling back to on.  Step charges
-        are bit-identical either way — fusion changes execution, never
-        the cost model.  Fusion is suspended automatically while a
-        ``fault_injector`` is attached (injection targets individual
-        eager primitives).
+        variable (``0`` / ``1``) before falling back to allowed.  The
+        setting only takes effect on a backend that fuses (one whose
+        chunked executor consumes the DAG: ``blocked`` and ``native``);
+        every other backend runs elementwise ops eagerly either way.
+        Step charges are bit-identical in all cases — fusion changes
+        execution, never the cost model.  Fusion is suspended
+        automatically while a ``fault_injector`` is attached (injection
+        targets individual eager primitives).
 
     Examples
     --------
@@ -222,11 +226,12 @@ class Machine:
     @property
     def fusion_enabled(self) -> bool:
         """Whether elementwise ops defer into lazy DAGs right now: the
-        machine's ``fusion`` setting, suspended while a fault injector is
-        attached (the injector's schedule addresses individual eager
-        primitives, so fused execution would change which outputs it
-        corrupts)."""
-        return self.fusion and self.fault_injector is None
+        machine's ``fusion`` setting, on a backend that fuses
+        (``Backend.fuses``), with no fault injector attached (the
+        injector's schedule addresses individual eager primitives, so
+        fused execution would change which outputs it corrupts)."""
+        return (self.fusion and self.backend.fuses
+                and self.fault_injector is None)
 
     def reset(self) -> None:
         """Zero all counters and clear the degraded-scan latch (the RNG

@@ -216,8 +216,9 @@ _register(OpSpec(name="batched_seg_max_scan", family="segmented",
 # Elementwise chains ending (or not) in a primitive scan, exercised
 # through the public Vector operators so the lazy DAG / fused-plan path is
 # on the differential surface: the runner executes every op under both
-# fusion settings on every engine and demands identical results *and*
-# charges (see runner._run_materialized).
+# fusion settings on every engine that fuses, and eagerly on the rest,
+# and demands identical results *and* charges (see
+# runner._run_materialized).
 
 
 def _fused_square_plus_scan(m, mat: Materialized):

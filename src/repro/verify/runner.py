@@ -6,8 +6,9 @@ a **fresh machine per engine and fusion mode** — vectorized NumPy, the
 blocked backend at two chunk sizes (chunk boundaries are where
 carry-propagation bugs live), the per-element reference backend, and the
 two-phase native backend at the default and a tiny block size (block
-boundaries are its chunk boundaries), each once eager and once with the
-lazy fused-pipeline path — and demands:
+boundaries are its chunk boundaries), each once eager and, on the engines
+that fuse (blocked and native), once more with the lazy fused-pipeline
+path — and demands:
 
 * every engine's *result* matches the oracle (bit-identical for integer
   and bool vectors; NaN-aware bit equality for non-additive float ops;
@@ -149,6 +150,8 @@ def _run_materialized(spec: OpSpec, case: Case, mat, engines) -> "CaseOutcome":
         for fusion in (False, True):
             label = f"{engine}[{'fused' if fusion else 'eager'}]"
             m = Machine(spec.model, backend=engine, fusion=fusion)
+            if fusion and not m.fusion_enabled:
+                break  # an engine that does not fuse runs eagerly anyway
             try:
                 actual = spec.run(m, mat)
             except Exception as exc:  # an engine crashing IS a finding

@@ -17,7 +17,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.machine.model import FUSION_ENV_VAR
 
 
-def fused(backend="numpy"):
+def fused(backend="blocked"):
     return Machine("scan", backend=backend, fusion=True)
 
 
@@ -107,9 +107,36 @@ class TestCharges:
         assert m.steps == me.steps == 2
 
     def test_blocked_charges_match_numpy_charges(self):
-        a = self._chain(fused())
+        a = self._chain(fused("numpy"))
         b = self._chain(Machine("scan", backend="blocked:3", fusion=True))
         assert a.by_kind == b.by_kind
+
+
+class TestNonFusingBackends:
+    """Backends without a chunked executor never build a DAG: a machine
+    with fusion allowed runs eagerly there, with eager results and
+    charges."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference",
+                                         "distributed:2"])
+    def test_fusion_allowed_still_runs_eagerly(self, backend):
+        runs = {}
+        for fusion in (True, False):
+            m = Machine("scan", backend=backend, fusion=fusion)
+            v = m.vector([3, 1, 4, 1, 5, 9, 2, 6])
+            w = (v * v + 1) - (v // 2)
+            assert w._expr is None and not m.fusion_enabled
+            s = scans.plus_scan(w)
+            t = scans.max_scan(v.astype(np.int64))
+            runs[fusion] = ((s + t).to_list(), m.snapshot())
+        (out_f, snap_f), (out_e, snap_e) = runs[True], runs[False]
+        assert out_f == out_e
+        assert snap_f.steps == snap_e.steps
+        assert snap_f.by_kind == snap_e.by_kind
+
+    def test_fusing_backends_declare_it(self):
+        assert Machine("scan", backend="blocked", fusion=True).fusion_enabled
+        assert Machine("scan", backend="native", fusion=True).fusion_enabled
 
 
 class TestToggles:
@@ -229,13 +256,14 @@ class TestTerminalFusion:
 
 class TestFaultsAndReliability:
     def test_fault_injector_suspends_fusion(self):
-        m = Machine("scan", fusion=True,
+        m = Machine("scan", backend="blocked", fusion=True,
                     fault_injector=FaultInjector(FaultPlan()))
         assert m.fusion is True and m.fusion_enabled is False
         assert (m.vector([1]) + 1)._expr is None  # eager despite fusion=on
 
     def test_checked_scans_coexist_with_fusion(self):
-        m = Machine("scan", reliability=True, fusion=True)
+        m = Machine("scan", backend="blocked", reliability=True,
+                    fusion=True)
         v = m.vector([1, 2, 3, 4])
         assert scans.plus_scan(v + 1).to_list() == [0, 2, 5, 9]
 

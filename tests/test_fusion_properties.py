@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro import Machine
 from repro.core import scans
 
-BACKENDS = ("numpy", "blocked", "blocked:7", "reference")
+BACKENDS = ("numpy", "blocked", "blocked:7", "reference", "native:0:7")
 
 ints = st.lists(st.integers(-10**6, 10**6), max_size=120)
 small_ints = st.lists(st.integers(-100, 100), max_size=60)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Machine
+from repro._util import indices_distinct
 from repro.core import ops, scans, segmented
 
 ints = st.lists(st.integers(-10**6, 10**6), max_size=120)
@@ -95,6 +96,44 @@ class TestPermuteLaws:
         v = m.vector(np.arange(30) * 7)
         p = m.vector(perm)
         assert v.permute(p).gather(p).to_list() == v.to_list()
+
+
+@st.composite
+def index_case(draw):
+    """An in-range index vector and its table length: mostly distinct
+    (a sample of ``range(length)``) or with forced duplicates, always
+    touching ``0`` and ``length - 1`` when it holds two or more cells."""
+    length = draw(st.integers(0, 64))
+    if length == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    cells = st.integers(0, length - 1)
+    if draw(st.booleans()):
+        idx = draw(st.lists(cells, max_size=length, unique=True))
+    else:
+        idx = draw(st.lists(cells, max_size=2 * length))
+        if idx:
+            idx.append(draw(st.sampled_from(idx)))  # one duplicate at least
+    if draw(st.booleans()) and len(idx) >= 2:
+        idx[0], idx[-1] = 0, length - 1  # both edges of the table
+    return np.asarray(draw(st.permutations(idx)), dtype=np.int64), length
+
+
+class TestIndicesDistinct:
+    @given(index_case())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_matches_np_unique(self, case):
+        """the linear mark-and-count check is np.unique's verdict."""
+        idx, length = case
+        assert indices_distinct(idx, length) == (
+            len(np.unique(idx)) == len(idx))
+
+    def test_edges_and_empty(self):
+        assert indices_distinct(np.zeros(0, dtype=np.int64), 0)
+        assert indices_distinct(np.zeros(0, dtype=np.int64), 5)
+        assert indices_distinct(np.array([4, 0]), 5)
+        assert not indices_distinct(np.array([0, 4, 0]), 5)
+        assert not indices_distinct(np.array([4, 4]), 5)
+        assert not indices_distinct(np.array([1, 0, 1]), 2)
 
 
 class TestSplitPackLaws:
