@@ -7,11 +7,11 @@ turns the scan from a memory-bound serial pass into ``p`` cooperating
 block passes, and at ``n >= 10^7`` that is worth ~5-10x over
 ``np.cumsum`` on a multicore host.
 
-The report is **honest about its mode**: on a host without Numba (or
-with ``REPRO_NATIVE_PURE=1``) the backend runs its pure fallback — the
-same per-block schedule as vectorized NumPy expressions — whose point is
-graceful degradation and conformance, not speed, so the table documents
-the expected crossover instead of claiming one.  Results are asserted
+The report is **honest about its mode**: on a host without Numba the
+backend *is* the blocked backend (its chunk loop over the shared carry
+monoids, with ``chunk = block``), whose point is graceful degradation
+and conformance, not speed, so the table documents the expected
+crossover instead of claiming one.  Results are asserted
 bit-identical to NumPy in every mode regardless (integer scans are
 associative mod 2**width; that part is not allowed to depend on speed).
 """
@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from repro.backends import NativeBackend, NumPyBackend
-from repro.backends.native import HAVE_NUMBA
 
 from _common import fmt_row, write_report
 
@@ -41,8 +40,7 @@ def _mode(backend) -> str:
     if backend.compiled:
         import numba
         return f"numba ({numba.get_num_threads()} threads)"
-    return ("pure fallback (numba not installed)" if not HAVE_NUMBA
-            else "pure fallback (REPRO_NATIVE_PURE)")
+    return "blocked (numba not installed)"
 
 
 def test_native_vs_numpy_scans():
@@ -89,18 +87,18 @@ def test_native_vs_numpy_scans():
             "should sit at ~5-10x for n >= 10^7 (upsweep and downsweep "
             "each stream the vector once, across all cores)")
         # the honest bar on real multicore hardware; single-core CI legs
-        # and the pure fallback document instead of assert
+        # and the blocked fallback document instead of assert
         assert speedups[("plus_scan", 10**7)] > 2.0, speedups
     else:
         lines.append(
-            "crossover note: this host runs the pure fallback "
-            "(or a single core), which mirrors the blocked backend's "
-            "chunk math — parity with NumPy is the expected result, and "
+            "crossover note: this host runs the blocked backend's chunk "
+            "loop (or a single core) — parity with NumPy is the expected "
+            "result, and "
             "the ~5-10x target applies to the Numba-compiled kernels on "
             "a multicore host (see docs/native.md for the install "
             "matrix and measured numbers per mode)")
-        # parity, not speed: the fallback must stay within a small
-        # constant factor of whole-vector numpy
+        # parity, not speed: blocked must stay within a small constant
+        # factor of whole-vector numpy
         assert speedups[("plus_scan", 10**7)] > 0.2, speedups
 
     write_report("native", lines)

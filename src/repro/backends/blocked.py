@@ -6,9 +6,11 @@ block, one cross-block scan of the partial results, then add the block
 offset back in.  :class:`BlockedBackend` executes that schedule literally —
 every primitive walks the vector in fixed-size chunks, carrying the running
 sum / running extreme / open-segment state across chunk boundaries — so a
-vector is never *operated on* whole.  Temporaries are bounded by the chunk
-size, which is what makes out-of-core vector lengths (and future sharding
-across workers) possible; output buffers are still materialized in full,
+vector is never *operated on* whole.  The four scans, eager or fused, are
+one loop (:meth:`BlockedBackend._sweep`) over the carry monoids of
+:mod:`repro.backends.carry`, the same ones the distributed workers run.
+Temporaries are bounded by the chunk size, which is what makes out-of-core
+vector lengths possible; output buffers are still materialized in full,
 as they are the operation's result.
 
 Bit-exactness: for integer and boolean vectors every result is
@@ -29,8 +31,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .base import Backend
-from .carry import seg_extreme_blocks
-from .numpy_backend import NumPyBackend, _exclusive_cumsum
+from .carry import monoid
+from .numpy_backend import _SEG_REDUCERS, NumPyBackend
 
 __all__ = ["BlockedBackend"]
 
@@ -82,6 +84,27 @@ class BlockedBackend(Backend):
         for start in range(0, n, self.chunk):
             yield start, min(start + self.chunk, n)
 
+    def _sweep(self, algebra, pieces, out: np.ndarray,
+               flags: np.ndarray = None) -> np.ndarray:
+        """Figure 10's schedule over ``(s, e, rows)`` chunks: each chunk's
+        exclusive scan from the identity (``local``), the carry entering
+        it folded in (``apply``), the carry advanced past it
+        (``combine``) — one loop for every scan, eager or fused."""
+        carry = algebra.identity
+        for s, e, rows in pieces:
+            sfc = None if flags is None else flags[s:e]
+            _, carry_out = algebra.local(rows, sfc, out[s:e])
+            if s:  # the first chunk's carry is the identity: nothing to fold
+                algebra.apply(out[s:e], sfc, carry)
+            carry = algebra.combine(carry, carry_out)
+        return out
+
+    def _scan(self, op: str, values: np.ndarray, flags=None, identity=None,
+              is_max: bool = False) -> np.ndarray:
+        pieces = ((s, e, values[s:e]) for s, e in self._spans(len(values)))
+        return self._sweep(monoid(op, values.dtype, identity, is_max),
+                           pieces, np.empty_like(values), flags)
+
     # ------------------------ fused pipelines -------------------------- #
 
     def fused_pipeline(self, plan) -> np.ndarray:
@@ -90,12 +113,10 @@ class BlockedBackend(Backend):
         Each chunk is produced by evaluating the whole chain on that
         chunk's slice of the inputs, then consumed immediately — by the
         output buffer for a plain chain, or by the terminal scan's
-        carry-propagating sweep, so a fused ``plus_scan(a*b + c)`` makes
-        **one pass** over each chunk with only chunk-sized temporaries.
-        The carry arithmetic is byte-for-byte the eager
-        :meth:`plus_scan` / :meth:`max_scan` loop, so fused results are
-        bit-identical to unfused blocked execution (including float
-        association).
+        carry sweep, so a fused ``plus_scan(a*b + c)`` makes **one pass**
+        over each chunk with only chunk-sized temporaries.  The sweep is
+        the eager scans' own, so fused results are bit-identical to
+        unfused blocked execution (including float association).
         """
         n = plan.n
         dtype = plan.root_dtype
@@ -104,25 +125,8 @@ class BlockedBackend(Backend):
                             * min(n, self.chunk) * max(1, dtype.itemsize))
         if plan.terminal is None:
             return plan.evaluate(self.chunk)
-        out = np.empty(n, dtype=dtype)
-        if plan.terminal == "plus_scan":
-            carry = dtype.type(0)
-            with np.errstate(over="ignore"):  # modular carries wrap
-                for s, e, seg in plan.chunks(self.chunk):
-                    out[s] = carry
-                    np.cumsum(seg[:-1], out=out[s + 1:e])
-                    out[s + 1:e] += carry
-                    carry = carry + seg.sum(dtype=dtype)
-            return out
-        # max_scan terminal
-        (identity,) = plan.terminal_args
-        carry = np.asarray(identity, dtype=dtype)[()]
-        for s, e, seg in plan.chunks(self.chunk):
-            out[s] = carry
-            np.maximum.accumulate(seg[:-1], out=out[s + 1:e])
-            np.maximum(out[s + 1:e], carry, out=out[s + 1:e])
-            carry = np.maximum(carry, seg.max()) if len(seg) else carry
-        return out
+        return self._sweep(monoid(plan.terminal, dtype, *plan.terminal_args),
+                           plan.chunks(self.chunk), np.empty(n, dtype=dtype))
 
     # -------------------------- elementwise --------------------------- #
 
@@ -154,29 +158,10 @@ class BlockedBackend(Backend):
     # ----------------------------- scans ------------------------------ #
 
     def plus_scan(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        carry = values.dtype.type(0)
-        with np.errstate(over="ignore"):  # modular carries wrap by design
-            for s, e in self._spans(len(values)):
-                seg = values[s:e]
-                out[s] = carry
-                np.cumsum(seg[:-1], out=out[s + 1:e])
-                out[s + 1:e] += carry
-                carry = carry + seg.sum(dtype=values.dtype)
-        return out
+        return self._scan("plus_scan", values)
 
     def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
-        out = np.empty_like(values)
-        carry = np.asarray(identity, dtype=values.dtype)[()]
-        for s, e in self._spans(len(values)):
-            seg = values[s:e]
-            out[s] = carry
-            np.maximum.accumulate(seg[:-1], out=out[s + 1:e])
-            np.maximum(out[s + 1:e], carry, out=out[s + 1:e])
-            # np.maximum, not Python max: the carry must propagate NaN
-            # exactly as the within-chunk np.maximum.accumulate does
-            carry = np.maximum(carry, seg.max()) if len(seg) else carry
-        return out
+        return self._scan("max_scan", values, identity=identity)
 
     # ------------------------- communication -------------------------- #
 
@@ -268,36 +253,11 @@ class BlockedBackend(Backend):
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        out = np.empty_like(values)
-        carry = values.dtype.type(0)  # sum since the open segment's head
-        with np.errstate(over="ignore"):  # modular carries wrap by design
-            return self._seg_plus_chunks(values, seg_flags, out, carry)
-
-    def _seg_plus_chunks(self, values, seg_flags, out, carry):
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            ex = _exclusive_cumsum(seg)
-            local = np.cumsum(sfc)  # 0 on the run continuing the open segment
-            heads = np.flatnonzero(sfc)
-            # offsets[i]: what local segment i subtracts from the chunk-local
-            # exclusive sums; the continuing run (i = 0) *adds* the carry
-            # (modular arithmetic makes the negation exact for any int dtype)
-            offsets = np.empty(len(heads) + 1, dtype=values.dtype)
-            offsets[0] = values.dtype.type(0) - carry
-            offsets[1:] = ex[heads]
-            out[s:e] = ex - offsets[local]
-            if len(heads):
-                carry = seg[heads[-1]:].sum(dtype=values.dtype)
-            else:
-                carry = carry + seg.sum(dtype=values.dtype)
-        return out
+        return self._scan("seg_plus", values, seg_flags)
 
     def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
                          identity, *, is_max: bool) -> np.ndarray:
-        return seg_extreme_blocks(values, seg_flags, identity, is_max=is_max,
-                                  block=self.chunk)
+        return self._scan("seg_extreme", values, seg_flags, identity, is_max)
 
     def seg_copy(self, values: np.ndarray,
                  seg_flags: np.ndarray) -> np.ndarray:
@@ -326,47 +286,35 @@ class BlockedBackend(Backend):
                        op: str) -> np.ndarray:
         if len(values) == 0:
             return values.copy()
+        ufunc = _SEG_REDUCERS[op]
         parts: list[np.ndarray] = []
-        carry = None  # running reduction of the open segment
-        red = {"sum": "sum", "max": "max", "min": "min",
-               "or": "any", "and": "all"}[op]
+        carry = None  # reduction of the segment still open at the chunk end
         for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
+            sfc = seg_flags[s:e]
             heads = np.flatnonzero(sfc)
-            bounds = np.concatenate(([0], heads, [len(seg)]))
-            for i in range(len(bounds) - 1):
-                lo, hi = bounds[i], bounds[i + 1]
-                if lo == hi:
-                    continue
-                r = self._np.reduce(seg[lo:hi], red)
-                if i == 0 and carry is not None:
-                    carry = self._np.reduce(np.array([carry, r]), red)
-                    continue
-                if carry is not None:
-                    parts.append(np.asarray(carry))
-                carry = r
-            # a chunk that is one unbroken run leaves carry accumulating
-        if carry is not None:
-            parts.append(np.asarray(carry))
-        per_segment = np.array(parts)
+            if not sfc[0]:  # the leading run continues the open segment
+                heads = np.concatenate(([0], heads))
+            red = ufunc.reduceat(values[s:e], heads)
+            if carry is not None:
+                if sfc[0]:
+                    parts.append(carry)
+                else:
+                    red[:1] = ufunc(carry, red[:1])
+            parts.append(red[:-1])
+            carry = red[-1:]
+        parts.append(carry)
+        per_segment = np.concatenate(parts)
         return self._spread(per_segment.astype(values.dtype, copy=False),
                             seg_flags)
 
     def _segment_tails(self, values: np.ndarray,
                        seg_flags: np.ndarray) -> np.ndarray:
-        """Last value of each segment, one entry per segment."""
-        tails: list[np.ndarray] = []
-        prev_last = None
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            # an element just before a head ends the previous segment
-            for h in heads:
-                tails.append(seg[h - 1] if h > 0 else prev_last)
-            prev_last = seg[-1]
-        tails.append(prev_last)  # the final segment ends at the vector end
+        """Last value of each segment, one entry per segment: the element
+        before each head, and the vector's last one."""
+        before_heads = [values[np.flatnonzero(seg_flags[s:e]) + (s - 1)]
+                        for s, e in self._spans(len(values))]
         # the first flag is always a head: drop its phantom predecessor
-        return np.array(tails[1:], dtype=values.dtype)
+        return np.concatenate(before_heads + [values[-1:]])[1:]
 
     def _spread(self, per_segment: np.ndarray,
                 seg_flags: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Worker-pool supervision: dispatch, health, retries, degradation.
 
 This is the product half of the distributed backend.  The *math* of a
-sharded scan lives in :mod:`repro.cluster.shardops`; everything here is
-about surviving the processes that run it.  A :class:`WorkerPool` owns N
-worker processes and, per distributed op:
+sharded scan is the op's carry monoid (:mod:`repro.backends.carry`);
+everything here is about surviving the processes that run it.  A
+:class:`WorkerPool` owns N worker processes and, per distributed op:
 
 1. copies the operands into the pool's persistent shared-memory arena
    (:class:`_ShmJob`: one segment per role, reused while the op stays in
@@ -46,6 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 from multiprocessing import resource_tracker
 
+from ..backends.carry import monoid
 from ..observe.metrics import registry
 from . import shardops
 from .chaos import ChaosPlan, ChaosState
@@ -529,33 +530,17 @@ class WorkerPool:
         return bounds
 
     @staticmethod
-    def _monoid(op: str, dtype, identity, is_max: bool):
-        """The carry-combine monoid and its identity for the exchange."""
-        zero = np.zeros((), dtype=dtype)[()]
-        if op == "plus_scan":
-            return shardops.plus_carry_combine(dtype), zero
-        if op == "max_scan":
-            return (shardops.max_carry_combine(),
-                    np.asarray(identity, dtype=dtype)[()])
-        if op == "seg_plus":
-            return shardops.seg_plus_carry_combine(dtype), (zero, False)
-        if op == "seg_extreme":
-            return shardops.seg_extreme_carry_combine(is_max), (None, False)
-        raise ValueError(f"unknown distributed op {op!r}")
-
-    def _offset_is_identity(self, op: str, offset, identity,
-                            flags, start: int) -> bool:
+    def _offset_is_identity(algebra, offset, flags, start: int) -> bool:
         """Whether shard ``start``'s incoming carry cannot change it (so
         phase 2 can be skipped entirely for that shard)."""
-        if op in ("seg_plus", "seg_extreme") and bool(flags[start]):
-            return True  # shard opens a fresh segment; no open carry applies
-        if op == "plus_scan":
-            return bool(offset == 0)
-        if op == "max_scan":
-            return bool(offset == identity)  # NaN compares False: dispatch
-        if op == "seg_plus":
-            return bool(offset[0] == 0)
-        return offset[0] is None  # seg_extreme
+        if algebra.segmented:
+            if bool(flags[start]):
+                return True  # shard opens a fresh segment; no carry applies
+            offset, ident = offset[0], algebra.identity[0]
+        else:
+            ident = algebra.identity
+        # NaN compares False: it is dispatched
+        return offset is ident or bool(offset == ident)
 
     def _begin_op(self, n: int) -> None:
         self._op_index = self.ledger.ops_distributed
@@ -593,22 +578,20 @@ class WorkerPool:
         carries_by_shard = self._run_phase(job, phase1)
         carries = [carries_by_shard[i] for i in range(len(shards))]
 
-        combine, ident = self._monoid(op, values.dtype, identity, is_max)
-        offsets, rounds = exclusive_exchange(carries, combine, ident)
+        algebra = monoid(op, values.dtype, identity, is_max)
+        offsets, rounds = exclusive_exchange(carries, algebra.combine,
+                                             algebra.identity)
         self._m_rounds.observe(rounds)
 
         host_flags = job.view("flags") if flags is not None else None
         phase2 = []
         for i, (s, e) in enumerate(shards):
-            if s == e or self._offset_is_identity(
-                    op, offsets[i], identity, host_flags, s):
+            if s == e or self._offset_is_identity(algebra, offsets[i],
+                                                  host_flags, s):
                 continue
-            carry_value = (offsets[i][0]
-                           if op in ("seg_plus", "seg_extreme")
-                           else offsets[i])
             phase2.append((i, {**base, "phase": 2, "mode": "apply",
                                "start": s, "stop": e,
-                               "carry": carry_value}))
+                               "carry": offsets[i]}))
         if phase2:
             self._run_phase(job, phase2)
         return np.array(job.view("out"), copy=True)

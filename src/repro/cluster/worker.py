@@ -7,9 +7,10 @@ cross the pipe — they live in the pool's shared-memory arena
 (``values``, ``flags``, ``out``) that the command names.  The worker keeps
 its attachment per role across commands and re-attaches only when a
 command names a different segment (the pool replaced it), closing the
-stale attachment first.  The compute itself is a straight call into
-:mod:`repro.cluster.shardops`, the same kernels the supervisor uses for
-degraded host-side shards.
+stale attachment first.  The compute itself is a straight call into the
+op's carry monoid (:func:`repro.backends.carry.monoid`): ``local`` in
+phase 1, ``apply`` in phase 2 — the same functions the supervisor uses
+for degraded host-side shards.
 
 Protocol (one reply per command, matched by ``seq``):
 
@@ -42,6 +43,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..backends.carry import monoid
 from . import shardops
 
 __all__ = ["worker_main"]
@@ -66,33 +68,12 @@ def _compute(cmd, values, flags, out):
     op = cmd["op"]
     if op == "reduce":
         return shardops.reduce_shard(values, cmd["reduce_op"])
-
+    algebra = monoid(op, values.dtype, cmd["identity"], cmd["is_max"])
     if cmd["phase"] == 1 or cmd["mode"] == "recompute":
-        if op == "plus_scan":
-            local, carry = shardops.plus_scan_shard(values)
-        elif op == "max_scan":
-            local, carry = shardops.max_scan_shard(values, cmd["identity"])
-        elif op == "seg_plus":
-            local, carry = shardops.seg_plus_shard(values, flags)
-        elif op == "seg_extreme":
-            local, carry = shardops.seg_extreme_shard(
-                values, flags, cmd["identity"], is_max=cmd["is_max"])
-        else:
-            raise ValueError(f"unknown distributed op {op!r}")
-        out[:] = local
+        _, carry = algebra.local(values, flags, out)
         if cmd["phase"] == 1:
             return carry
-
-    carry_value = cmd["carry"]
-    if op == "plus_scan":
-        shardops.plus_scan_apply(out, carry_value)
-    elif op == "max_scan":
-        shardops.max_scan_apply(out, carry_value)
-    elif op == "seg_plus":
-        shardops.seg_plus_apply(out, flags, carry_value)
-    elif op == "seg_extreme":
-        shardops.seg_extreme_apply(out, flags, carry_value,
-                                   is_max=cmd["is_max"])
+    algebra.apply(out, flags, cmd["carry"])
     return None
 
 

@@ -14,11 +14,12 @@ Dtype grids:
   unsigned, narrow and wide, bool, float64;
 * ``segment_ids`` / ``seg_index`` / ``seg_enumerate`` take flag vectors by
   contract, so they fuzz over ``bool`` only;
-* the four segmented extreme scans exclude NaN (``nan_ok=False``): their
-  shared kernel combines with ``np.maximum`` / ``np.fmin``, ordering NaN
-  like a largest value (the min side passes over it), which is a
-  *documented* departure from NaN-propagating sequential semantics, not a
-  conformance bug (see ``docs/verification.md``).
+* the segmented *min* scans exclude NaN (``nan_ok=False``): their shared
+  kernel combines with ``np.fmin``, ordering NaN like a largest value
+  that a min passes over, which is a *documented* departure from
+  NaN-propagating sequential semantics, not a conformance bug (see
+  ``docs/verification.md``).  The max side combines with ``np.maximum``,
+  which propagates NaN exactly as the oracle does, so it admits NaN.
 
 ``additive=True`` marks the +-family: on floats their result depends on
 association, so the blocked backend's chunked partial sums differ from the
@@ -153,12 +154,12 @@ _register(OpSpec(name="seg_enumerate", family="segmented",
 
 for _name, _nan_ok, _additive in [
     ("seg_plus_scan", True, True),
-    ("seg_max_scan", False, False),
+    ("seg_max_scan", True, False),
     ("seg_min_scan", False, False),
     ("seg_or_scan", True, False),
     ("seg_and_scan", True, False),
     ("seg_back_plus_scan", True, True),
-    ("seg_back_max_scan", False, False),
+    ("seg_back_max_scan", True, False),
     ("seg_back_min_scan", False, False),
     ("seg_copy", True, False),
     ("seg_back_copy", True, False),
@@ -209,8 +210,7 @@ _register(OpSpec(name="batched_seg_plus_scan", family="segmented",
 _register(OpSpec(name="batched_seg_max_scan", family="segmented",
                  run=_batched_seg(segmented.seg_max_scan),
                  oracle=_orc("batched_seg_max_scan"),
-                 dtypes=DTYPES_FULL, segmented=True, n_flags=1,
-                 nan_ok=False))
+                 dtypes=DTYPES_FULL, segmented=True, n_flags=1))
 
 # ------------------------- fused pipelines ----------------------------- #
 # Elementwise chains ending (or not) in a primitive scan, exercised

@@ -5,8 +5,9 @@ inputs once, computes the serial-oracle answer, then runs the operation on
 a **fresh machine per engine and fusion mode** — vectorized NumPy, the
 blocked backend at two chunk sizes (chunk boundaries are where
 carry-propagation bugs live), the per-element reference backend, and the
-two-phase native backend at the default and a tiny block size (block
-boundaries are its chunk boundaries), each once eager and, on the engines
+native backend at the default and a tiny block size (its compiled
+two-phase kernels where Numba is importable, blocked's chunk loop with
+``chunk = block`` otherwise), each once eager and, on the engines
 that fuse (blocked and native), once more with the lazy fused-pipeline
 path — and demands:
 
@@ -20,7 +21,7 @@ path — and demands:
 
 One carve-out: for ops whose NaN handling is a *documented* departure
 from sequential semantics (``nan_ok=False`` in the opset — the segmented
-extreme scans order NaN as a largest value), the serial oracle abstains
+min scans order NaN as a largest value), the serial oracle abstains
 when the inputs actually contain NaN, and the engines are instead held to
 **each other**: the first engine's result becomes the expectation every
 other engine must match bit for bit.  That keeps hand-written NaN

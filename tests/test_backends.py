@@ -467,15 +467,14 @@ class TestSegExtremeNaNCarries:
             assert np.array_equal(got, want, equal_nan=True), spec
 
     def test_shard_split_carry_matches_numpy(self):
-        from repro.cluster.shardops import (seg_extreme_apply,
-                                            seg_extreme_shard)
+        from repro.backends.carry import monoid
 
         v, sf = self.VALUES, self.FLAGS
-        out_a, carry_a = seg_extreme_shard(v[:4], sf[:4], np.inf,
-                                           is_max=False)
-        out_b, _ = seg_extreme_shard(v[4:], sf[4:], np.inf, is_max=False)
+        seg_min = monoid("seg_extreme", v.dtype, np.inf, is_max=False)
+        out_a, carry_a = seg_min.local(v[:4], sf[:4])
+        out_b, _ = seg_min.local(v[4:], sf[4:])
         # shard b has no head: it receives shard a's open-segment min
-        seg_extreme_apply(out_b, sf[4:], carry_a[0], is_max=False)
+        seg_min.apply(out_b, sf[4:], carry_a)
         got = np.concatenate([out_a, out_b])
         assert np.array_equal(got, self._seg_min("numpy"), equal_nan=True)
 
@@ -520,6 +519,35 @@ class TestBlockedCarries:
         out = scans.plus_scan(m.vector(data))
         expected = np.concatenate(([0], np.cumsum(data)[:-1]))
         assert np.array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("spec,n", [
+        ("blocked", 150_000), ("blocked:1", 3_000), ("native", 150_000),
+        ("native:0:1000", 20_000)])
+    @pytest.mark.parametrize("op", ["sum", "max", "min", "or", "and"])
+    def test_seg_distribute_many_segments_per_chunk(self, spec, n, op):
+        """Thousands of segments per chunk, segments straddling chunk
+        ends and chunks opening on a head: the per-chunk ``reduceat``
+        plus the open segment's carry must give numpy's table."""
+        rng = np.random.default_rng(11)
+        flags = rng.random(n) < 1 / 8
+        flags[0] = flags[-1] = True
+        flags[::1000] = True  # heads on native:0:1000's chunk starts
+        if op in ("or", "and"):
+            values = rng.random(n) < 0.5
+        elif op == "sum":
+            values = rng.integers(-2**62, 2**62, n)  # sums wrap
+        else:
+            values = rng.standard_normal(n)
+            values[rng.random(n) < 0.01] = np.nan
+        backend = get_backend(spec)
+        want = NumPyBackend().seg_distribute(values, flags, op)
+        got = backend.seg_distribute(values, flags, op)
+        nan = values.dtype.kind == "f"
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=nan)
+        assert np.array_equal(backend.seg_back_copy(values, flags),
+                              NumPyBackend().seg_back_copy(values, flags),
+                              equal_nan=nan)
 
     def test_temporaries_stay_chunk_bounded(self):
         import tracemalloc

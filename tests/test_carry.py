@@ -1,23 +1,25 @@
-"""The shared segmented extreme kernel (repro.backends.carry).
+"""The shared carry algebra (repro.backends.carry).
 
-Every engine — numpy whole-vector, blocked chunks, the native fallback's
-blocks and the distributed shards — runs its segmented max/min scans
-through :func:`seg_extreme_scan`, so this suite holds it to the serial
-:class:`ReferenceBackend` loop directly: every fuzzer dtype, float
+Every engine — numpy whole-vector, blocked chunks (native without Numba
+is blocked) and the distributed shards — runs its segmented max/min
+scans through :func:`seg_extreme_scan`, so this suite holds it to the
+serial :class:`ReferenceBackend` loop directly: every fuzzer dtype, float
 specials, flag densities from one giant segment to all heads, lengths on
-both sides of the row width and of the single-row limit, non-neutral
-identities, and a vector split anywhere and continued with ``carry=``.
+both sides of the row width and of the single-row limit, and non-neutral
+identities.  The four carry monoids the chunk loops share are held to
+numpy's whole-vector scans over a vector cut at random points.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import ReferenceBackend
+from repro.backends import NumPyBackend, ReferenceBackend
 from repro.backends.carry import (extreme_carry_out, extreme_combine,
-                                  seg_extreme_scan)
+                                  monoid, seg_extreme_scan)
 from repro.verify.opset import DTYPES_FULL
 
+_NP = NumPyBackend()
 _REF = ReferenceBackend()
 
 DTYPES = DTYPES_FULL + ("uint16", "uint64", "float32")
@@ -102,24 +104,84 @@ def test_matches_the_serial_reference(case):
     assert _same(values, before)  # the input is never written
 
 
+def _cuts(data, n: int) -> list:
+    if n < 2:
+        return []
+    return sorted(set(data.draw(st.lists(st.integers(1, n - 1),
+                                         max_size=4))))
+
+
+def _run_pieces(algebra, values, flags, cuts):
+    """The chunk loop by hand: ``local`` each piece, ``apply`` the carry
+    entering it (the identity too), ``combine`` the carry past it."""
+    pieces, carry = [], algebra.identity
+    n = len(values)
+    for s, e in zip([0] + cuts, cuts + [n]):
+        sfc = flags[s:e] if algebra.segmented else None
+        out, carry_out = algebra.local(values[s:e], sfc)
+        algebra.apply(out, sfc, carry)
+        carry = algebra.combine(carry, carry_out)
+        pieces.append(out)
+    return np.concatenate(pieces), carry
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=cases, data=st.data())
 def test_split_continued_with_carry_equals_unsplit(case, data):
     _, values, flags, ident = _draw(case)
-    n, is_max = len(values), case["is_max"]
+    is_max = case["is_max"]
     whole = seg_extreme_scan(values, flags, ident, is_max=is_max)
-    cuts = []
-    if n > 1:
-        cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1),
-                                             max_size=4))))
-    pieces, carry = [], None
-    for s, e in zip([0] + cuts, cuts + [n]):
-        out = seg_extreme_scan(values[s:e], flags[s:e], ident,
-                               is_max=is_max, carry=carry)
-        carry = extreme_carry_out(values[s:e], flags[s:e], out,
-                                  is_max=is_max, carry=carry)
-        pieces.append(out)
-    assert _same(np.concatenate(pieces), whole)
+    algebra = monoid("seg_extreme", values.dtype, ident, is_max=is_max)
+    got, _ = _run_pieces(algebra, values, flags, _cuts(data, len(values)))
+    assert _same(got, whole)
+
+
+INT_DTYPES = tuple(d for d in DTYPES if np.dtype(d).kind in "iu")
+
+
+def _whole_scan(op, values, flags, ident, is_max):
+    """numpy's whole-vector scan of ``op``."""
+    if op == "plus_scan":
+        return _NP.plus_scan(values)
+    if op == "max_scan":
+        return _NP.max_scan(values, ident)
+    if op == "seg_plus":
+        return _NP.seg_plus_scan(values, flags)
+    return _NP.seg_extreme_scan(values, flags, ident, is_max=is_max)
+
+
+def _same_carry(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got[1] == want[1] and _same_carry(got[0], want[0])
+    if want is None:
+        return got is None
+    return _same(np.asarray(got), np.asarray(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(["plus_scan", "max_scan", "seg_plus",
+                           "seg_extreme"]),
+       case=cases, data=st.data())
+def test_monoid_laws_over_random_cuts(op, case, data):
+    """Each monoid's chunk loop over any cuts equals numpy's whole-vector
+    scan — bit-identical on integers, NaN-aware on max/min floats — and
+    its final carry equals the whole vector's carry out."""
+    if op in ("plus_scan", "seg_plus"):
+        case = {**case, "dtype": data.draw(st.sampled_from(INT_DTYPES))}
+    if op == "max_scan":
+        case = {**case, "is_max": True}
+    _, values, flags, ident = _draw(case)
+    ident = np.asarray(ident, dtype=values.dtype)[()]
+    is_max = case["is_max"]
+    algebra = monoid(op, values.dtype, ident, is_max=is_max)
+    with np.errstate(over="ignore"):
+        want = _whole_scan(op, values, flags, ident, is_max)
+    got, carry = _run_pieces(algebra, values, flags,
+                             _cuts(data, len(values)))
+    assert _same(got, want)
+    _, whole_carry = algebra.local(values, flags if algebra.segmented
+                                   else None)
+    assert _same_carry(carry, whole_carry)
 
 
 @pytest.mark.parametrize("is_max", [True, False])
@@ -135,7 +197,9 @@ def test_no_head_at_zero_without_carry_starts_a_segment(is_max):
 def test_carry_reaches_only_the_leading_run():
     values = np.array([1, 5, 2, 8, 0], dtype=np.int16)
     flags = np.array([False, False, True, False, False])
-    got = seg_extreme_scan(values, flags, -99, is_max=True, carry=4)
+    algebra = monoid("seg_extreme", values.dtype, -99, is_max=True)
+    got, _ = algebra.local(values, flags)
+    algebra.apply(got, flags, (np.int16(4), False))
     assert got.tolist() == [4, 4, -99, 2, 8]
 
 
@@ -181,8 +245,12 @@ def test_carry_out_of_a_lone_unheaded_element():
     out = seg_extreme_scan(values, flags, 100, is_max=True)
     assert out.tolist() == [100]
     assert extreme_carry_out(values, flags, out, is_max=True) == 5
-    assert extreme_carry_out(values, flags, np.array([7]), is_max=True,
-                             carry=7) == 7
+    # continuing an open segment whose extreme is 7: 7 enters, 7 leaves
+    algebra = monoid("seg_extreme", values.dtype, 100, is_max=True)
+    out, carry_out = algebra.local(values, flags)
+    algebra.apply(out, flags, (7, False))
+    assert out.tolist() == [7]
+    assert algebra.combine((7, False), carry_out) == (7, False)
 
 
 def test_empty_vector():

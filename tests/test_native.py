@@ -6,12 +6,11 @@ boundaries where scan bugs live (unsigned wraparound, int64 overflow,
 NaN ordering, empty float64 vectors), at adversarial block sizes so every
 case crosses block boundaries.
 
-Every test runs under **all execution tiers the host supports**: the
-plain-Python kernels (the exact arithmetic Numba compiles, kept on the
-fuzzer surface even without Numba), the vectorized per-block fallback,
-and — when Numba is installed — the compiled kernels themselves.  The
-suite is therefore meaningful both on bare NumPy containers and on CI
-legs with Numba present.
+Every test runs two engines: the plain-Python two-phase driver
+(:func:`~repro.backends.native.two_phase` over ``PY_KERNELS``, the exact
+arithmetic Numba compiles, on every host) and the backend as it is —
+compiled when Numba is installed, the blocked backend's chunk loop when
+it is not.
 """
 import numpy as np
 import pytest
@@ -19,34 +18,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Machine
-from repro.backends import NativeBackend, NumPyBackend, ReferenceBackend
-from repro.backends import native as native_mod
-from repro.backends.native import HAVE_NUMBA
+from repro.backends import (BlockedBackend, NativeBackend, NumPyBackend,
+                            ReferenceBackend)
+from repro.backends.native import HAVE_NUMBA, PY_KERNELS, two_phase
 from repro.core import scans
 
 _NP = NumPyBackend()
 _REF = ReferenceBackend()
 
-#: (label, force_pure, _PY_KERNEL_MAX override) — one entry per
-#: execution tier available on this host
-MODES = [("pure-kernels", True, 1 << 30),
-         ("pure-vectorized", True, -1)]
-if HAVE_NUMBA:
-    MODES.append(("numba", False, native_mod._PY_KERNEL_MAX))
-
 BLOCKS = [1, 2, 3, 7, 64]
 
 
+class _Driver:
+    """The plain-Python two-phase driver behind the backend's scan
+    signatures."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def plus_scan(self, values):
+        return two_phase(PY_KERNELS, "plus_scan", values, block=self.block)
+
+    def max_scan(self, values, identity):
+        return two_phase(PY_KERNELS, "max_scan", values, identity=identity,
+                         block=self.block)
+
+    def seg_plus_scan(self, values, flags):
+        return two_phase(PY_KERNELS, "seg_plus", values, flags,
+                         block=self.block)
+
+    def seg_extreme_scan(self, values, flags, identity, *, is_max):
+        return two_phase(PY_KERNELS, "seg_extreme", values, flags, identity,
+                         is_max=is_max, block=self.block)
+
+
 def _each_native(block):
-    """Yield a fresh backend per execution tier, with the py-kernel
-    cutoff pinned so the tier actually runs (restored after each)."""
-    for label, force_pure, cutoff in MODES:
-        old = native_mod._PY_KERNEL_MAX
-        native_mod._PY_KERNEL_MAX = cutoff
-        try:
-            yield label, NativeBackend(block=block, force_pure=force_pure)
-        finally:
-            native_mod._PY_KERNEL_MAX = old
+    """The plain-Python driver, then the backend as this host runs it."""
+    yield "two-phase", _Driver(block)
+    yield ("numba" if HAVE_NUMBA else "blocked"), NativeBackend(block=block)
 
 
 INT_DTYPES = ["int8", "int16", "uint8", "uint32", "int64"]
@@ -70,7 +79,7 @@ FLOAT_ELEMENTS = st.sampled_from(
 @settings(max_examples=80, deadline=None)
 def test_plus_scan_int_bit_identical(data):
     """Integer +-scans wrap modulo 2**width and must match numpy bit for
-    bit in every tier, including sums that overflow many times over."""
+    bit on every engine, including sums that overflow many times over."""
     dtype = data.draw(st.sampled_from(INT_DTYPES))
     values = np.array(data.draw(st.lists(_int_elements(dtype), min_size=2,
                                          max_size=80)), dtype=dtype)
@@ -145,8 +154,8 @@ def test_seg_plus_scan_int_bit_identical(data):
 @settings(max_examples=80, deadline=None)
 def test_seg_extreme_scan_bit_identical_including_nan(data):
     """Both directions, NaN-laced floats, non-bottom identities (the
-    one-bit scans call seg_max_scan with identity=0): every tier matches
-    numpy's answer exactly."""
+    one-bit scans call seg_max_scan with identity=0): every engine
+    matches numpy's answer exactly."""
     is_max = data.draw(st.booleans())
     if data.draw(st.booleans()):
         dtype = data.draw(st.sampled_from(INT_DTYPES))
@@ -198,15 +207,13 @@ class TestDtypeBoundaries:
         for values in (np.array([], dtype=np.float64),
                        np.array([3.5], dtype=np.float64)):
             want = _NP.plus_scan(values)
-            for label, nat in _each_native(7):
-                got = nat.plus_scan(values)
-                assert got.dtype == np.float64, label
-                assert np.array_equal(got, want), label
+            got = NativeBackend(block=7).plus_scan(values)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
 
     def test_bool_vectors_delegate_to_numpy_semantics(self):
-        nat = NativeBackend(force_pure=True)
-        values = np.array([True, False, True, True])
-        assert not nat._engaged(values)
+        nat = NativeBackend(block=2)
+        values = np.array([True, False, True, True, False])
         assert np.array_equal(nat.max_scan(values, False),
                               _NP.max_scan(values, False))
 
@@ -244,7 +251,7 @@ class TestMachineIntegration:
 
         want = run("numpy", False)
         for fusion in (False, True):
-            got = run(NativeBackend(block=64, force_pure=True), fusion)
+            got = run(NativeBackend(block=64), fusion)
             assert got == want, fusion
 
     def test_step_charges_match_numpy(self):
@@ -255,67 +262,51 @@ class TestMachineIntegration:
             scans.max_scan(v)
             return dict(m.counter.by_kind)
 
-        assert (charges(NativeBackend(block=16, force_pure=True))
+        assert (charges(NativeBackend(block=16))
                 == charges("numpy"))
 
     def test_metrics_count_fallback_and_launches(self):
         from repro.observe.metrics import registry
 
-        nat = NativeBackend(block=8, force_pure=True)
-        counter = registry.counter("native.fallback_ops")
+        counter = registry.counter("native.kernel_launches" if HAVE_NUMBA
+                                   else "native.fallback_ops")
+        nat = NativeBackend(block=8)
         before = counter.value
         nat.plus_scan(np.arange(32, dtype=np.int64))
         assert counter.value == before + 1
-        if HAVE_NUMBA:
-            compiled = NativeBackend(block=8)
-            launches = registry.counter("native.kernel_launches")
-            b = launches.value
-            compiled.plus_scan(np.arange(32, dtype=np.int64))
-            assert launches.value == b + 1
+        m = Machine("scan", backend=nat, fusion=True)
+        scans.plus_scan(m.vector(list(range(32))) * 2)  # a fused terminal
+        assert counter.value == before + 2
 
     def test_temp_bytes_is_block_bounded(self):
-        nat = NativeBackend(block=1024, force_pure=True)
+        nat = NativeBackend(block=1024)
         big = 10**8  # a 100 MB output must not imply 100 MB of temps
         assert nat.temp_bytes("plus_scan", big) < 64 * 1024 * 1024
 
 
 # --------------------------------------------------------------------- #
-# The shard hook (repro.cluster.shardops routing through native)
+# Without Numba, native is the blocked backend
 # --------------------------------------------------------------------- #
 
-class TestShardNativeHook:
-    def _arm(self, monkeypatch, mode):
-        from repro.cluster import shardops
+@pytest.mark.skipif(HAVE_NUMBA, reason="the compiled kernels are in play")
+class TestBlockedWithoutNumba:
+    def test_is_blocked_with_chunk_equal_to_block(self):
+        nat = NativeBackend(block=7)
+        assert isinstance(nat, BlockedBackend)
+        assert not nat.compiled and nat.chunk == nat.block == 7
 
-        monkeypatch.setenv("REPRO_SHARD_NATIVE", mode)
-        monkeypatch.setattr(shardops, "_NATIVE_SHARD_MIN", 4)
-        monkeypatch.setattr(shardops, "_native_cache", {})
-        return shardops
-
-    def test_forced_on_routes_and_stays_bit_identical(self, monkeypatch):
-        shardops = self._arm(monkeypatch, "1")
-        assert shardops._shard_native() is not None
-        v = np.arange(100, dtype=np.int64) * 3 - 150
-        out, carry = shardops.plus_scan_shard(v)
-        assert np.array_equal(out, np.concatenate(([0], np.cumsum(v)[:-1])))
-        assert carry == v.sum()
-        fv = np.array([1.5, np.nan, 2.0, 0.5] * 25)
-        out, carry = shardops.max_scan_shard(fv, -np.inf)
-        want = np.empty_like(fv)
-        want[0] = -np.inf
-        np.maximum.accumulate(fv[:-1], out=want[1:])
-        assert np.array_equal(out, want, equal_nan=True)
-        assert np.isnan(carry)  # np.maximum carry propagates NaN
-
-    def test_forced_off_disables(self, monkeypatch):
-        shardops = self._arm(monkeypatch, "0")
-        assert shardops._shard_native() is None
-
-    def test_float_plus_shards_keep_the_serial_path(self, monkeypatch):
-        """Solo float requests must never re-associate locally, so the
-        +-shard routes only integer dtypes through the two-phase scan."""
-        shardops = self._arm(monkeypatch, "1")
-        fv = np.linspace(0.0, 1.0, 64) * 1e16 + 1.0
-        out, _ = shardops.plus_scan_shard(fv)
-        want = np.concatenate(([0.0], np.cumsum(fv)[:-1]))
-        assert np.array_equal(out, want)  # bit-exact, not just close
+    def test_every_scan_is_bit_identical_to_blocked(self):
+        """Float +-scans included: the same chunk loop associates the
+        same way."""
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(500)
+        flags = rng.random(500) < 0.1
+        flags[0] = True
+        nat, blk = NativeBackend(block=7), BlockedBackend(chunk=7)
+        for op, args in [("plus_scan", ()), ("max_scan", (-np.inf,)),
+                         ("seg_plus_scan", (flags,))]:
+            got = getattr(nat, op)(values, *args)
+            assert np.array_equal(got, getattr(blk, op)(values, *args)), op
+        got = nat.seg_extreme_scan(values, flags, np.inf, is_max=False)
+        want = blk.seg_extreme_scan(values, flags, np.inf, is_max=False)
+        assert np.array_equal(got, want)
