@@ -21,8 +21,8 @@ unbatched per-request path.  Three measurements:
    server, once with batching disabled (``max_batch=1``, the eager
    path) and once with the default batcher; wall-clock throughput,
    occupancy, and latency quantiles reported from the server's own SLO
-   accounting.  Payloads travel packed (base64 of the raw bytes), so
-   the codec is close to a byte copy; the per-request event-loop,
+   accounting.  Payloads travel as raw attachments after a JSON header
+   line, so the codec is a byte copy; the per-request event-loop,
    admission and framing work that remains does not batch, so this row
    reports the *service* win honestly rather than re-asserting the
    engine ratio.

@@ -444,35 +444,49 @@ def _serve(args) -> int:
     async def _selfcheck() -> int:
         """Start the server, push a mixed concurrent workload through it,
         check every answer against a serial machine, print the SLO
-        snapshot.  Exit 0 iff everything came back bit-identical."""
+        snapshot.  Exit 0 iff everything came back bit-identical.  Float
+        specials (NaN, +-inf, -0.0) and bools ride along, so attachments
+        of 8- and 1-byte items cross the socket both ways; ``seg_copy``
+        over one-element segments echoes its input, so those bits are
+        checked on the way in as well as out."""
         from .core import scans, segmented
         from .machine.model import Machine
 
         server = ScanServer(config)
         await server.start()
         rng = np.random.default_rng(7)
-        vecs = [rng.integers(-99, 99, size=257, dtype=np.int64)
-                for _ in range(48)]
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5,
+                             -2.25, np.nan], dtype=np.float64)
+        bits = rng.random(40) < 0.5
+        cases = [("plus_scan", rng.integers(-99, 99, size=257,
+                                            dtype=np.int64), None)
+                 for _ in range(48)]
+        cases += [("seg_max_scan", rng.integers(0, 9, size=30,
+                                                dtype=np.int64), [10, 5, 15]),
+                  ("max_scan", specials, None),
+                  ("seg_copy", specials, [1] * len(specials)),
+                  ("or_scan", bits, None),
+                  ("seg_copy", bits, [1] * len(bits))]
         clients = [await ServeClient.connect(args.host, server.port)
                    for _ in range(8)]
-        jobs = [clients[i % len(clients)].scan("plus_scan", v)
-                for i, v in enumerate(vecs)]
-        seg_v = rng.integers(0, 9, size=30, dtype=np.int64)
-        jobs.append(clients[0].scan("seg_max_scan", seg_v,
-                                    seg_lengths=[10, 5, 15]))
-        outs = await asyncio.gather(*jobs)
+        outs = await asyncio.gather(*[
+            clients[i % len(clients)].scan(op, v, seg_lengths=lengths)
+            for i, (op, v, lengths) in enumerate(cases)])
 
         failures = 0
         m = Machine("scan")
-        for v, out in zip(vecs, outs):
-            if not np.array_equal(scans.plus_scan(m.vector(v)).data, out):
+        for (op, v, lengths), out in zip(cases, outs):
+            if lengths is None:
+                want = getattr(scans, op)(m.vector(v)).data
+            else:
+                flags = np.zeros(len(v), dtype=bool)
+                flags[np.cumsum([0] + lengths[:-1])] = True
+                want = getattr(segmented, op)(m.vector(v),
+                                              m.flags(flags)).data
+                if op == "seg_copy" and v.tobytes() != want.tobytes():
+                    failures += 1  # the echo must be the input, bit for bit
+            if out.dtype != want.dtype or out.tobytes() != want.tobytes():
                 failures += 1
-        flags = np.zeros(30, dtype=bool)
-        flags[[0, 10, 15]] = True
-        if not np.array_equal(
-                segmented.seg_max_scan(m.vector(seg_v),
-                                       m.flags(flags)).data, outs[-1]):
-            failures += 1
 
         snap = server.stats.snapshot()
         for c in clients:

@@ -9,8 +9,8 @@ produced.
 
 Layers (each its own module, each independently testable):
 
-* :mod:`~repro.serve.protocol` — newline-JSON wire frames, validation,
-  structured error codes;
+* :mod:`~repro.serve.protocol` — wire frames (a JSON header line plus
+  an optional raw attachment), validation, structured error codes;
 * :mod:`~repro.serve.batching` — the servable-op registry, mega-op
   assembly, and the :class:`~repro.serve.batching.BatchEngine`;
 * :mod:`~repro.serve.quota` — per-tenant step budgets metered by the

@@ -15,18 +15,22 @@ through this class.
 :meth:`request` returns the raw response dict; :meth:`scan` decodes a
 successful response into an ndarray and raises :class:`ServeError` (with
 the structured ``code``) on an error response.  ``values`` always go out
-in the packed form (base64 of the little-endian bytes, see
-:mod:`repro.serve.protocol`), so the replies come back packed too.
+as an attachment: the JSON header line, then the array's little-endian
+buffer as it is (see :mod:`repro.serve.protocol`).  Replies come back
+the same way, and :meth:`request` puts the reply's attachment bytes
+under ``values``.
 """
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .protocol import decode_values, encode_values
+# ``encode_values`` (the list form) is re-exported for callers that build
+# JSON-line frames themselves, such as layerbench's in-process replay
+from .protocol import encode_values  # noqa: F401
+from .protocol import ProtocolError, decode_values, encode_frame, read_frame
 
 __all__ = ["ServeError", "ServeClient"]
 
@@ -50,9 +54,11 @@ class ServeClient:
     """One pipelined connection to a :class:`~repro.serve.server.ScanServer`."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+                 writer: asyncio.StreamWriter,
+                 limit: int = 32 << 20) -> None:
         self._reader = reader
         self._writer = writer
+        self._limit = limit   #: largest reply frame accepted
         self._next_id = 0
         self._waiting: dict = {}
         self._closed = False
@@ -63,7 +69,7 @@ class ServeClient:
                       limit: int = 32 << 20) -> "ServeClient":
         reader, writer = await asyncio.open_connection(host, port,
                                                        limit=limit)
-        return cls(reader, writer)
+        return cls(reader, writer, limit)
 
     # ------------------------------------------------------------------ #
     # The read side: one task, frames dispatched by id
@@ -72,16 +78,16 @@ class ServeClient:
     async def _read_loop(self) -> None:
         exc: Optional[Exception] = None
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                frame = json.loads(line)
+            while (got := await read_frame(self._reader,
+                                           self._limit)) is not None:
+                frame, attachment = got
+                if attachment is not None:
+                    frame["values"] = attachment
                 fut = self._waiting.pop(frame.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
         except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError, ValueError) as caught:
+                asyncio.CancelledError, ProtocolError) as caught:
             exc = (caught if isinstance(caught, Exception)
                    else ConnectionResetError("connection task cancelled"))
         # whoever is still waiting will never get a frame: fail them
@@ -108,11 +114,10 @@ class ServeClient:
         self._next_id += 1
         req_id = self._next_id
         obj: dict = {"id": req_id, "op": op}
+        arr = None
         if values is not None:
             arr = np.asarray(values) if dtype is None \
                 else np.asarray(values, dtype=np.dtype(dtype))
-            obj["dtype"] = str(arr.dtype)
-            obj["values"] = encode_values(arr)
         if seg_lengths is not None:
             obj["seg_lengths"] = [int(x) for x in seg_lengths]
         if tenant is not None:
@@ -124,8 +129,9 @@ class ServeClient:
             raise ConnectionResetError("connection already closed")
         fut = asyncio.get_running_loop().create_future()
         self._waiting[req_id] = fut
-        self._writer.write(
-            (json.dumps(obj, separators=(",", ":")) + "\n").encode())
+        # header, then the array's own buffer (no copy when little-endian)
+        for part in encode_frame(obj, arr):
+            self._writer.write(part)
         await self._writer.drain()
         return await fut
 

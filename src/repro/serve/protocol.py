@@ -1,28 +1,26 @@
-"""The wire protocol: newline-delimited JSON frames.
+"""The wire protocol: JSON header lines, each optionally followed by raw
+bytes.
 
-One request per line, one response per line, UTF-8.  The framing is the
-simplest thing that composes with ``asyncio`` streams — ``readline`` on
-the way in, one ``write`` per response on the way out — and responses
-carry the request's ``id``, so a client may pipeline many requests on one
-connection and match replies out of order (the server coalesces
-concurrent requests into batches, so reply order is explicitly *not*
-request order).
+Every frame is one UTF-8 JSON object on one line.  If it carries
+``"nbytes": k``, exactly ``k`` raw bytes follow the newline: the frame's
+``values``, little-endian, in the header's (then required) ``dtype``.
+Both directions read it with :func:`read_frame` and write it with
+:func:`encode_frame` (the array's own buffer): no per-element Python
+work, every bit kept.  Replies carry the request's ``id``, use the
+request's encoding, and may come out of order (the server batches)::
 
-``values`` travels in one of two encodings inside that JSON line:
+    {"id": 7, "op": "plus_scan", "dtype": "int64", "nbytes": 24}\n<24 bytes>
 
-* **packed** (what :class:`~repro.serve.client.ServeClient` sends) — one
-  base64 string of the array's little-endian raw bytes.  ``dtype`` is
-  required, since the bytes alone do not say how to read them.  Encode
-  and decode are a byte copy plus base64, with no per-element Python
-  work, and every bit survives, NaN payloads and signs included::
+``nbytes`` is checked before a byte of it is read: a non-negative
+integer (or framing is lost: one error, then hang-up), header plus
+attachment within ``max_frame_bytes``, whole items, at most
+``max_elements`` of them.  A refused attachment is drained in bounded
+chunks and the connection carries on.
 
-    {"id": 7, "op": "plus_scan", "dtype": "int64",
-     "values": "AgAAAAAAAAABAAAAAAAAAAIAAAAAAAAA"}
-
-* **list** — a plain JSON list, for hand-typed and debugging requests.
-  ``dtype`` defaults to ``int64``; float specials travel as the strings
-  ``"nan"``, ``"inf"``, ``"-inf"`` and ``"-0.0"`` (JSON has no encoding
-  for them), mirroring the fuzzer corpus convention::
+Hand-typed requests may put ``values`` in the header as a JSON list
+instead (``dtype`` defaults to ``int64``; float specials are the strings
+``"nan"``, ``"inf"``, ``"-inf"`` and ``"-0.0"``, and no other string is
+a number)::
 
     {"id": 7, "op": "plus_scan", "dtype": "int64", "values": [2, 1, 2],
      "seg_lengths": [2, 1],          # segmented ops only
@@ -30,25 +28,13 @@ request order).
 
 Both decodings are exact: a value that does not convert into ``dtype``
 without loss (``1.5`` or ``2**70`` as ``int64``, ``2`` as ``bool``,
-``1e300`` as ``float32``; a packed byte count that is not a multiple of
-the item size, or a ``bool`` byte other than 0/1) is a ``bad_request``,
-never a silently rounded input.
-
-The server answers each request in the encoding it arrived in::
-
-    {"id": 7, "ok": true, "values": [0, 2, 3], "dtype": "int64",
-     "steps": 3, "batched": 5, "cached": false}
-    {"id": 7, "ok": false, "error": {"code": "quota_exhausted",
-                                     "message": "..."}}
-
-Errors are always structured — a ``code`` from :data:`ERROR_CODES` plus
-a human message — so clients can branch on the code and humans can read
-the message.
+``1e300`` as ``float32``, a ``bool`` byte other than 0/1) is a
+``bad_request``, never a silently rounded input.  Errors are structured,
+with a ``code`` from :data:`ERROR_CODES` plus a human ``message``.
 """
 from __future__ import annotations
 
-import base64
-import binascii
+import asyncio
 import json
 import math
 from dataclasses import dataclass
@@ -56,26 +42,15 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "DTYPES",
-    "ERROR_CODES",
-    "ProtocolError",
-    "ParsedRequest",
-    "decode_frame",
-    "parse_request",
-    "encode_values",
-    "decode_values",
-    "ok_frame",
-    "error_frame",
-    "info_frame",
-]
+__all__ = ["DTYPES", "ERROR_CODES", "ProtocolError", "ParsedRequest",
+           "read_frame", "decode_frame", "parse_request", "encode_values",
+           "decode_values", "encode_frame", "ok_frame", "error_frame",
+           "info_frame"]
 
 #: element dtypes a request may carry (the fuzzer's adversarial grid
 #: plus the remaining fixed-width integers and float32)
-DTYPES = frozenset({
-    "bool", "int8", "int16", "int32", "int64",
-    "uint8", "uint16", "uint32", "uint64", "float32", "float64",
-})
+DTYPES = frozenset({"bool", "int8", "int16", "int32", "int64", "uint8",
+                    "uint16", "uint32", "uint64", "float32", "float64"})
 
 #: every structured error code a response can carry
 ERROR_CODES = frozenset({
@@ -92,22 +67,25 @@ ERROR_CODES = frozenset({
 class ProtocolError(Exception):
     """A request that cannot be served, with its structured error code.
 
-    ``details`` (optional) carries machine-readable context — the limit a
-    request tripped and the offending size — so a client can right-size
-    its next attempt without parsing the human message.
-    """
+    ``details`` (optional) is machine-readable context — the limit a
+    request tripped and the offending size.  ``req_id`` is the frame's id
+    if its header parsed; ``fatal`` means framing is lost (answer, then
+    hang up)."""
 
     def __init__(self, code: str, message: str,
-                 details: Optional[dict] = None) -> None:
+                 details: Optional[dict] = None, *, req_id=None,
+                 fatal: bool = False) -> None:
         assert code in ERROR_CODES, code
         super().__init__(message)
         self.code = code
         self.message = message
         self.details = details
+        self.req_id = req_id
+        self.fatal = fatal
 
 
 # --------------------------------------------------------------------- #
-# Value encoding: packed (base64 of little-endian bytes) or a JSON list
+# Value encoding: an attachment of little-endian bytes, or a JSON list
 # --------------------------------------------------------------------- #
 
 def _bad_values(dtype: str, why: str) -> ProtocolError:
@@ -115,13 +93,7 @@ def _bad_values(dtype: str, why: str) -> ProtocolError:
                                         f"{why}")
 
 
-def _packed_count(text: str, dtype: str) -> int:
-    """Elements in a packed payload, from its length and padding alone
-    (nothing is decoded): the guard that runs before any allocation."""
-    if len(text) % 4:
-        raise _bad_values(dtype, f"base64 length {len(text)} is not a "
-                                 f"multiple of 4")
-    nbytes = len(text) // 4 * 3 - (text[-2:].count("=") if text else 0)
+def _item_count(nbytes: int, dtype: str) -> int:
     itemsize = np.dtype(dtype).itemsize
     if nbytes % itemsize:
         raise _bad_values(dtype, f"{nbytes} bytes is not a multiple of "
@@ -129,38 +101,32 @@ def _packed_count(text: str, dtype: str) -> int:
     return nbytes // itemsize
 
 
-def _decode_packed(text: str, dtype: str) -> np.ndarray:
-    n = _packed_count(text, dtype)
-    try:
-        data = base64.b64decode(text, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise _bad_values(dtype, f"not base64: {exc}") from None
+def _decode_attachment(raw, dtype: str) -> np.ndarray:
+    _item_count(memoryview(raw).nbytes, dtype)
     dt = np.dtype(dtype)
-    if len(data) != n * dt.itemsize:
-        raise _bad_values(dtype, "malformed base64 padding")
     if dt.kind == "b":
-        raw = np.frombuffer(data, dtype=np.uint8)
-        if (raw > 1).any():
-            raise _bad_values(dtype, f"bool byte "
-                                     f"{int(raw[raw > 1][0])} is not 0 or 1")
-    # astype copies: native byte order, writable, detached from ``data``
-    return np.frombuffer(data, dtype=dt.newbyteorder("<")).astype(dt)
+        flags = np.frombuffer(raw, dtype=np.uint8)
+        if (flags > 1).any():
+            raise _bad_values(dtype, f"bool byte {flags[flags > 1][0]} "
+                                     f"is not 0 or 1")
+    # astype copies: native byte order, writable, detached from ``raw``
+    return np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt)
 
 
 def _first_bad(raw: list, ok) -> Optional[tuple]:
-    for i, x in enumerate(raw):
-        if not ok(x):
-            return i, x
-    return None
+    return next(((i, x) for i, x in enumerate(raw) if not ok(x)), None)
+
+
+#: the float specials' spellings in the list form, the only strings that
+#: decode as numbers
+_SPECIALS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+             "-0.0": -0.0}
 
 
 def _decode_list(raw: list, dtype: str) -> np.ndarray:
     dt = np.dtype(dtype)
     if dt.kind == "f":
-        try:
-            vals = [float(x) if isinstance(x, str) else x for x in raw]
-        except ValueError as exc:
-            raise _bad_values(dtype, str(exc)) from None
+        vals = [_SPECIALS.get(x, x) if type(x) is str else x for x in raw]
         bad = _first_bad(vals, lambda x: type(x) in (int, float))
         what = "not a number"
         if bad is None:
@@ -190,40 +156,145 @@ def _decode_list(raw: list, dtype: str) -> np.ndarray:
     return np.array(raw, dtype=dt)
 
 
-def _encode_one(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if x == 0.0 and math.copysign(1.0, x) < 0:
-            return "-0.0"
-    return x
-
-
-def _encode_list(arr: np.ndarray) -> list:
-    """The list form (bools as bools, ints as ints, float specials as
-    strings)."""
-    return [_encode_one(x) for x in arr.tolist()]
-
-
-def encode_values(arr: np.ndarray) -> str:
-    """The packed form of one vector: base64 of its little-endian bytes."""
-    le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-    return base64.b64encode(le.tobytes()).decode("ascii")
+def encode_values(arr: np.ndarray) -> list:
+    """The list form of one vector (bools as bools, ints as ints, float
+    specials as strings): what a JSON header's ``values`` carries."""
+    out = arr.tolist()
+    if arr.dtype.kind == "f":
+        # repr spells NaN, +-inf and -0.0 exactly as the list form does
+        special = ~np.isfinite(arr) | ((arr == 0) & np.signbit(arr))
+        for i in np.flatnonzero(special):
+            out[i] = repr(out[i])
+    return out
 
 
 def decode_values(raw, dtype: str) -> np.ndarray:
-    """The inverse of :func:`encode_values` for a packed string, and of
-    the list form for a list; a fresh, writable, native-endian array.
-    Raises ``ProtocolError`` on anything that does not decode exactly as
-    ``dtype`` (see the module docstring)."""
-    if isinstance(raw, str):
-        return _decode_packed(raw, dtype)
+    """A list (:func:`encode_values`) or attachment bytes as a fresh,
+    writable, native-endian array; ``ProtocolError`` on anything that does
+    not decode exactly as ``dtype`` (see the module docstring)."""
     if isinstance(raw, list):
         return _decode_list(raw, dtype)
-    raise _bad_values(dtype, f"expected a base64 string or a list, got "
-                             f"{type(raw).__name__}")
+    return _decode_attachment(raw, dtype)
+
+
+# --------------------------------------------------------------------- #
+# Frames
+# --------------------------------------------------------------------- #
+
+def decode_frame(line: bytes) -> dict:
+    """One header line to a JSON object (``ProtocolError`` on garbage)."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ProtocolError("bad_request", f"frame is not valid JSON: "
+                                           f"{exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError("bad_request", f"frame must be a JSON object, "
+                                           f"got {type(obj).__name__}")
+    return obj
+
+
+def _dtype(obj: dict, default: Optional[str]) -> str:
+    dtype = obj.get("dtype", default)
+    if dtype is None:
+        raise ProtocolError("bad_request", "an attachment needs an "
+                                           "explicit 'dtype'")
+    if not isinstance(dtype, str) or dtype not in DTYPES:
+        raise ProtocolError("bad_request", f"unknown dtype {dtype!r}; one "
+                            f"of {', '.join(sorted(DTYPES))}")
+    return dtype
+
+
+def _check_count(n: int, max_elements: float) -> None:
+    if n > max_elements:
+        raise ProtocolError("too_large", f"vector of {n} elements exceeds "
+                            f"the server's max_elements={max_elements}",
+                            details={"max_elements": max_elements, "got": n})
+
+
+async def read_frame(reader: asyncio.StreamReader, max_frame_bytes: int,
+                     max_elements: float = math.inf):
+    """The next frame: ``(header, attachment or None)``, or ``None`` once
+    the peer has left.  Bare newlines are skipped.  ``ProtocolError``
+    leaves the stream at the next frame (a refused attachment drained)
+    unless it is ``fatal``."""
+    try:
+        line = await reader.readline()
+        while line.isspace():
+            line = await reader.readline()
+    except ValueError:   # the line outgrew the StreamReader limit
+        raise ProtocolError("too_large", f"frame exceeds max_frame_bytes="
+                            f"{max_frame_bytes}", fatal=True, details={
+                                "max_frame_bytes": max_frame_bytes}) from None
+    if not line:
+        return None
+    obj = decode_frame(line)
+    if "nbytes" not in obj:
+        return obj, None
+    nbytes, req_id = obj["nbytes"], obj.get("id")
+    if type(nbytes) is not int or nbytes < 0:
+        raise ProtocolError("bad_request", f"'nbytes' must be a "
+                            f"non-negative integer, got {nbytes!r}",
+                            req_id=req_id, fatal=True)
+    size = len(line) + nbytes
+    try:
+        if size > max_frame_bytes:
+            raise ProtocolError("too_large", f"frame of {size} bytes "
+                                f"exceeds max_frame_bytes={max_frame_bytes}",
+                                details={"max_frame_bytes": max_frame_bytes,
+                                         "got": size})
+        _check_count(_item_count(nbytes, _dtype(obj, None)), max_elements)
+    except ProtocolError as err:
+        while nbytes > 0:
+            chunk = await reader.read(min(nbytes, 1 << 16))  # never whole
+            if not chunk:
+                break
+            nbytes -= len(chunk)
+        err.req_id = req_id
+        raise
+    try:
+        return obj, await reader.readexactly(nbytes)
+    except asyncio.IncompleteReadError:
+        return None
+
+
+def encode_frame(header: dict, values: Optional[np.ndarray] = None) -> list:
+    """The buffers of one frame: the header line, then ``values``' little-
+    endian bytes (its own buffer when it can be) as the attachment, with
+    ``dtype`` and ``nbytes`` added to the header."""
+    parts = []
+    if values is not None:
+        le = np.ascontiguousarray(values, values.dtype.newbyteorder("<"))
+        parts.append(memoryview(le.view(np.uint8)))
+        header = dict(header, dtype=values.dtype.name, nbytes=le.nbytes)
+    line = (json.dumps(header, separators=(",", ":")) + "\n").encode()
+    return [line, *parts]
+
+
+def ok_frame(req_id, result: np.ndarray, *, steps: int, batched: int,
+             cached: bool, packed: bool = False) -> bytes:
+    """A result reply, ``values`` as an attachment or as a list
+    (``packed`` mirrors the request's encoding)."""
+    header = {"id": req_id, "ok": True, "dtype": result.dtype.name,
+              "steps": int(steps), "batched": int(batched),
+              "cached": bool(cached)}
+    if not packed:
+        header["values"] = encode_values(result)
+    return b"".join(encode_frame(header, result if packed else None))
+
+
+def error_frame(req_id, code: str, message: str,
+                details: Optional[dict] = None) -> bytes:
+    assert code in ERROR_CODES, code
+    error: dict = {"code": code, "message": message}
+    if details:
+        error["details"] = details
+    return encode_frame({"id": req_id, "ok": False, "error": error})[0]
+
+
+def info_frame(req_id, **payload) -> bytes:
+    """An admin reply (``ping`` / ``stats``)."""
+    return encode_frame({"id": req_id, "ok": True, **payload})[0]
 
 
 # --------------------------------------------------------------------- #
@@ -240,101 +311,62 @@ class ParsedRequest:
     seg_lengths: Optional[tuple]      #: None for unsegmented ops
     seg_flags: Optional[np.ndarray]   #: materialized from ``seg_lengths``
     tenant: str
-    packed: bool = True               #: reply in the encoding it came in
+    packed: bool                      #: came with an attachment
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-def decode_frame(line: bytes) -> dict:
-    """One wire line to a JSON object (``ProtocolError`` on garbage)."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError("bad_request",
-                            f"frame is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ProtocolError("bad_request",
-                            f"frame must be a JSON object, got "
-                            f"{type(obj).__name__}")
-    return obj
-
-
-def _seg_flags_from_lengths(lengths, n: int) -> np.ndarray:
+def _seg_flags_from_lengths(lengths: list, n: int) -> np.ndarray:
+    bad = _first_bad(lengths, lambda x: type(x) is int and x >= 1)
+    if bad is not None:
+        raise ProtocolError("bad_request", f"seg_lengths must be positive "
+                                           f"integers, got {bad[1]!r}")
+    if sum(lengths) != n:
+        raise ProtocolError("bad_request", f"seg_lengths sum to "
+                            f"{sum(lengths)}, values have length {n}")
     flags = np.zeros(n, dtype=bool)
-    pos = 0
-    for length in lengths:
-        if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-            raise ProtocolError(
-                "bad_request",
-                f"seg_lengths must be positive integers, got {length!r}")
-        if pos >= n:
-            break  # sum mismatch; reported below
-        flags[pos] = True
-        pos += length
-    if pos != n:
-        raise ProtocolError(
-            "bad_request",
-            f"seg_lengths sum to {pos}, values have length {n}")
+    flags[np.cumsum([0] + lengths, dtype=np.int64)[:-1]] = True
     return flags
 
 
-def parse_request(obj: dict, *, known_ops, max_elements: int) -> ParsedRequest:
-    """Validate one decoded frame against the op registry and limits.
-
-    ``known_ops`` maps op name -> :class:`repro.serve.batching.ServeOp`;
-    the admin ops (``ping`` / ``stats``) are handled before this is
-    called.
-    """
+def parse_request(obj: dict, attachment: Optional[bytes] = None, *,
+                  known_ops, max_elements: int) -> ParsedRequest:
+    """Validate one frame against ``known_ops`` (op name ->
+    :class:`repro.serve.batching.ServeOp`; ``ping`` / ``stats`` are handled
+    before this) and the limits, an attachment's by :func:`read_frame`."""
     op_name = obj.get("op")
     if not isinstance(op_name, str) or op_name not in known_ops:
-        raise ProtocolError(
-            "bad_request",
-            f"unknown op {op_name!r}; servable ops: "
-            f"{', '.join(sorted(known_ops))}")
+        raise ProtocolError("bad_request", f"unknown op {op_name!r}; "
+                            f"servable ops: {', '.join(sorted(known_ops))}")
     spec = known_ops[op_name]
 
-    raw = obj.get("values")
-    packed = isinstance(raw, str)
-    if packed and "dtype" not in obj:
-        raise ProtocolError("bad_request",
-                            "packed 'values' need an explicit 'dtype'")
-    dtype = obj.get("dtype", "int64")
-    if dtype not in DTYPES:
-        raise ProtocolError("bad_request",
-                            f"unknown dtype {dtype!r}; one of "
-                            f"{', '.join(sorted(DTYPES))}")
-
-    if packed:
-        n = _packed_count(raw, dtype)
-    elif isinstance(raw, list):
-        n = len(raw)
-    else:
-        raise ProtocolError("bad_request", "'values' must be a base64 "
-                                           "string or a JSON list")
-    if n > max_elements:
-        raise ProtocolError(
-            "too_large",
-            f"vector of {n} elements exceeds the server's "
-            f"max_elements={max_elements}",
-            details={"max_elements": max_elements, "got": n})
+    packed = attachment is not None
+    if packed and "values" in obj:
+        raise ProtocolError("bad_request", "'values' travel in the "
+                            "attachment or in the header, not both")
+    dtype = _dtype(obj, None if packed else "int64")
+    raw = attachment if packed else obj.get("values")
+    if isinstance(raw, list):
+        _check_count(len(raw), max_elements)
+    elif not packed:
+        raise ProtocolError("bad_request", "'values' must be a JSON list "
+                                           "or an attachment")
     values = decode_values(raw, dtype)
 
     seg_lengths = obj.get("seg_lengths")
     seg_flags = None
     if spec.segmented:
         if not isinstance(seg_lengths, list):
-            raise ProtocolError(
-                "bad_request",
-                f"op {op_name!r} is segmented: 'seg_lengths' "
-                f"(a list of positive segment lengths) is required")
+            raise ProtocolError("bad_request", f"op {op_name!r} is "
+                                "segmented: 'seg_lengths' (a list of "
+                                "positive segment lengths) is required")
         seg_flags = _seg_flags_from_lengths(seg_lengths, len(values))
         seg_lengths = tuple(seg_lengths)
     elif seg_lengths is not None:
-        raise ProtocolError(
-            "bad_request",
-            f"op {op_name!r} is not segmented; drop 'seg_lengths'")
+        raise ProtocolError("bad_request", f"op {op_name!r} is not "
+                                           f"segmented; drop 'seg_lengths'")
 
     tenant = obj.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
@@ -343,37 +375,3 @@ def parse_request(obj: dict, *, known_ops, max_elements: int) -> ParsedRequest:
     return ParsedRequest(id=obj.get("id"), op=op_name, values=values,
                          seg_lengths=seg_lengths, seg_flags=seg_flags,
                          tenant=tenant, packed=packed)
-
-
-# --------------------------------------------------------------------- #
-# Responses
-# --------------------------------------------------------------------- #
-
-def _frame(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-
-
-def ok_frame(req_id, result: np.ndarray, *, steps: int, batched: int,
-             cached: bool, packed: bool = True) -> bytes:
-    """A result reply, ``values`` packed or as a list (``packed``
-    mirrors the request's encoding)."""
-    return _frame({"id": req_id, "ok": True,
-                   "values": (encode_values(result) if packed
-                              else _encode_list(result)),
-                   "dtype": str(result.dtype),
-                   "steps": int(steps), "batched": int(batched),
-                   "cached": bool(cached)})
-
-
-def error_frame(req_id, code: str, message: str,
-                details: Optional[dict] = None) -> bytes:
-    assert code in ERROR_CODES, code
-    error: dict = {"code": code, "message": message}
-    if details:
-        error["details"] = details
-    return _frame({"id": req_id, "ok": False, "error": error})
-
-
-def info_frame(req_id, **payload) -> bytes:
-    """An admin reply (``ping`` / ``stats``)."""
-    return _frame({"id": req_id, "ok": True, **payload})

@@ -1,12 +1,16 @@
 """Scan-as-a-service: the asyncio server.
 
-One :class:`ScanServer` listens on a TCP port, speaks the newline-JSON
-protocol of :mod:`repro.serve.protocol`, and turns concurrent client
-traffic into segmented mega-ops (:mod:`repro.serve.batching`).  The
-request path::
+One :class:`ScanServer` listens on a TCP port, speaks the JSON-header
+plus attachment protocol of :mod:`repro.serve.protocol`, and turns
+concurrent client traffic into segmented mega-ops
+(:mod:`repro.serve.batching`).  The request path::
 
-    readline -> parse -> admit (drain? quota? cache? queue room?)
-             -> pending queue -> batcher -> executor -> respond
+    read_frame -> parse -> admit (drain? quota? cache? queue room?)
+               -> pending queue -> batcher -> executor -> respond
+
+Framing is settled on the connection loop (:func:`read_frame` reads or
+drains every attachment) before a per-request task starts, so a task
+never sees a half-read frame and framing never depends on the op.
 
 Every admitted request parks a future on the pending queue.  A single
 batcher task wakes on arrival, sleeps one ``batch_window`` so concurrent
@@ -42,8 +46,8 @@ from .batching import (SERVABLE_OPS, BatchEngine, batchable,
                        proportional_shares)
 from .cache import ResultCache
 from .metrics import ServeMetrics, ServerStats
-from .protocol import (ParsedRequest, ProtocolError, decode_frame,
-                       error_frame, info_frame, ok_frame, parse_request)
+from .protocol import (ParsedRequest, ProtocolError, error_frame,
+                       info_frame, ok_frame, parse_request, read_frame)
 from .quota import QuotaManager, QuotaPolicy
 
 __all__ = ["ServeConfig", "ScanServer", "classify_failure"]
@@ -75,7 +79,7 @@ class ServeConfig:
     max_pending: int = 1024
     #: largest vector one request may carry
     max_elements: int = 1 << 18
-    #: largest wire frame (the StreamReader limit)
+    #: largest wire frame, header plus attachment (the StreamReader limit)
     max_frame_bytes: int = 8 << 20
     #: a queued request older than this dies with a ``timeout`` error
     request_timeout: float = 30.0
@@ -235,29 +239,24 @@ class ScanServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except ValueError:
-                    # the frame outgrew the StreamReader limit; framing is
-                    # lost, so answer once and hang up
-                    self._count_error("too_large")
+                    frame = await read_frame(reader,
+                                             self.config.max_frame_bytes,
+                                             self.config.max_elements)
+                except ProtocolError as err:
+                    self._count_error(err.code)
                     await self._send(writer, lock, error_frame(
-                        None, "too_large",
-                        f"frame exceeds max_frame_bytes="
-                        f"{self.config.max_frame_bytes}",
-                        details={"max_frame_bytes":
-                                 self.config.max_frame_bytes}))
-                    break
-                if not line:
-                    # EOF: the framing is one line each way, so a closed
-                    # read side means the client left; replies resolved
-                    # after this point are undeliverable
+                        err.req_id, err.code, err.message, err.details))
+                    if err.fatal:
+                        break  # framing is lost: answered once, hang up
+                    continue
+                if frame is None:
+                    # EOF (perhaps mid-attachment): the client left, so
+                    # replies resolved after this point are undeliverable
                     self._dead_writers.add(writer)
                     break
-                if not line.strip():
-                    continue  # bare newline keepalive
                 # one task per request: responses pipeline out of order
                 t = asyncio.ensure_future(
-                    self._serve_line(line, writer, lock))
+                    self._serve_frame(*frame, writer, lock))
                 requests.add(t)
                 t.add_done_callback(requests.discard)
         except (ConnectionResetError, BrokenPipeError):
@@ -289,16 +288,9 @@ class ScanServer:
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             self.metrics.dropped_replies.inc()
 
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock) -> None:
-        try:
-            obj = decode_frame(line)
-        except ProtocolError as err:
-            self._count_error(err.code)
-            await self._send(writer, lock,
-                             error_frame(None, err.code, err.message))
-            return
-
+    async def _serve_frame(self, obj: dict, attachment: Optional[bytes],
+                           writer: asyncio.StreamWriter,
+                           lock: asyncio.Lock) -> None:
         req_id = obj.get("id")
         op = obj.get("op")
         if op == "ping":
@@ -313,7 +305,7 @@ class ScanServer:
             return
 
         try:
-            req = parse_request(obj, known_ops=SERVABLE_OPS,
+            req = parse_request(obj, attachment, known_ops=SERVABLE_OPS,
                                 max_elements=self.config.max_elements)
         except ProtocolError as err:
             self._count_error(err.code)

@@ -189,14 +189,19 @@ _register(OpSpec(name="seg_split3", family="segmented", run=_seg_split3,
 # segment layout, and the whole batch executes as ONE segmented scan over
 # the assembled flag vector.  The oracle answers each request
 # independently, so this is the server's batching-invisibility claim on
-# the cross-backend differential surface.
+# the cross-backend differential surface.  Each pseudo-request first
+# crosses the wire codec (encoded as a frame attachment, decoded back),
+# so every dtype and NaN case drawn here also checks that codec.
 
 
 def _batched_seg(seg_fn):
     def run(m, mat: Materialized):
         from ..serve.batching import assemble
+        from ..serve.protocol import decode_values, encode_frame
 
-        values, flags, _ = assemble(_oracle._request_parts(mat))
+        parts = [(decode_values(encode_frame({}, v)[1], v.dtype.name), f)
+                 for v, f in _oracle._request_parts(mat)]
+        values, flags, _ = assemble(parts)
         return seg_fn(m.vector(values), m.flags(flags)).data
     return run
 

@@ -7,14 +7,23 @@ Pinned here:
 
 * malformed JSON frames and non-object frames -> ``bad_request``, and
   the connection keeps serving;
-* packed payloads that are not base64, have a truncated length, carry a
-  ``bool`` byte other than 0/1, or lack a ``dtype`` -> ``bad_request``;
-  list values that do not convert exactly into their dtype (``1.5`` as
-  ``int64``, ``2`` as ``bool``, ``1e300`` as ``float32``) ->
-  ``bad_request``, never a silently rounded input;
-* replies mirror the request's encoding (list in, list out; packed in,
-  packed out), cache hits included;
-* an oversized wire frame -> one ``too_large`` reply, then the server
+* attachments whose ``nbytes`` is not a whole number of items, that
+  carry a ``bool`` byte other than 0/1, lack or garble the ``dtype``, or
+  duplicate ``values`` -> ``bad_request``; ``nbytes`` over
+  ``max_frame_bytes`` or ``max_elements`` -> ``too_large`` with
+  ``details``, the attachment drained without being held in memory; the
+  connection survives each, garbage after an attachment too, and an
+  attachment on ``ping`` / ``stats`` is consumed;
+* ``nbytes`` that is not a non-negative integer -> one ``bad_request``,
+  then hang-up (framing is lost); a truncated attachment then EOF -> a
+  clean close, no leaked task, other connections served;
+* list values that do not convert exactly into their dtype (``1.5`` as
+  ``int64``, ``2`` as ``bool``, ``1e300`` as ``float32``, any float
+  string but the four specials) -> ``bad_request``, never a silently
+  rounded input;
+* replies mirror the request's encoding (list in, list out; attachment
+  in, attachment out), cache hits included;
+* an oversized header line -> one ``too_large`` reply, then the server
   hangs up (framing is unrecoverable); an oversized *vector* in a valid
   frame -> ``too_large`` with the connection intact;
 * unknown ops, bad segment layouts, NaN sorts -> ``bad_request``;
@@ -29,8 +38,8 @@ Pinned here:
   task behind.
 """
 import asyncio
-import base64
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +47,8 @@ import pytest
 
 from repro.serve import ScanServer, ServeClient, ServeConfig, ServeError
 from repro.serve.cache import ResultCache
-from repro.serve.protocol import ProtocolError, decode_values, encode_values
+from repro.serve.protocol import (ProtocolError, decode_values, encode_frame,
+                                  read_frame)
 
 HOST = "127.0.0.1"
 
@@ -142,54 +152,231 @@ def test_oversized_vector_rejected_connection_survives():
     asyncio.run(main())
 
 
-async def _exchange(reader, writer, obj: dict) -> dict:
-    """One frame out, one frame back, on an open connection."""
-    writer.write((json.dumps(obj) + "\n").encode())
+async def _exchange(reader, writer, obj: dict,
+                    attachment: bytes = b"") -> dict:
+    """One frame out (header line, then ``attachment`` as is), one frame
+    back, on an open connection; a reply's attachment lands in
+    ``values``."""
+    writer.write((json.dumps(obj) + "\n").encode() + attachment)
     await writer.drain()
-    return json.loads(await reader.readline())
+    frame, raw = await read_frame(reader, 1 << 20)
+    if raw is not None:
+        frame["values"] = raw
+    return frame
 
 
-def _packed(values, dtype: str) -> str:
-    return encode_values(np.asarray(values, dtype=dtype))
+def _attached(values, dtype: str) -> bytes:
+    """A header-less attachment: the little-endian bytes of ``values``."""
+    return bytes(encode_frame({}, np.asarray(values, dtype=dtype))[1])
+
+
+def _good_request(i: int):
+    return ({"id": 100 + i, "op": "plus_scan", "dtype": "int64",
+             "nbytes": 24}, _attached([1, 2, 3], "int64"))
+
+
+async def _assert_still_serving(reader, writer, i: int) -> None:
+    good = await _exchange(reader, writer, *_good_request(i))
+    assert good["ok"] is True and good["id"] == 100 + i, good
+    assert np.array_equal(decode_values(good["values"], good["dtype"]),
+                          [0, 1, 3])
 
 
 def test_malformed_packed_payloads_classified_connection_survives():
-    int3 = _packed([1, 2, 3], "int64")
+    int3 = _attached([1, 2, 3], "int64")
     cases = [
-        # (values, dtype, code, details, words in the message)
-        ("AAAA*AAAAAA=", "int64", "bad_request", None, "not base64"),
-        (int3[:-4], "int64", "bad_request", None,
+        # (header fields, attachment, code, details, words in the message)
+        ({"dtype": "int64", "nbytes": 12}, int3[:12], "bad_request", None,
          "not a multiple of the item size 8"),
-        (int3[:-1], "int64", "bad_request", None, "not a multiple of 4"),
-        (base64.b64encode(bytes([0, 1, 2])).decode(), "bool",
-         "bad_request", None, "bool byte 2"),
-        (_packed(np.arange(32), "int64"), "int64", "too_large",
-         {"max_elements": 16, "got": 32}, "max_elements=16"),
-        (int3, None, "bad_request", None, "explicit 'dtype'"),
+        ({"dtype": "float32", "nbytes": 6}, bytes(6), "bad_request", None,
+         "not a multiple of the item size 4"),
+        ({"dtype": "bool", "nbytes": 3}, bytes([0, 1, 2]), "bad_request",
+         None, "bool byte 2"),
+        ({"dtype": "int64", "nbytes": 256}, _attached(range(32), "int64"),
+         "too_large", {"max_elements": 16, "got": 32}, "max_elements=16"),
+        ({"dtype": "int8", "nbytes": 4096}, bytes(4096), "too_large",
+         "frame", "max_frame_bytes=2048"),
+        ({"nbytes": 24}, int3, "bad_request", None, "explicit 'dtype'"),
+        ({"dtype": "float16", "nbytes": 4}, bytes(4), "bad_request", None,
+         "unknown dtype"),
+        ({"dtype": ["int64"], "nbytes": 24}, int3, "bad_request", None,
+         "unknown dtype"),
+        ({"dtype": "int64", "nbytes": 24, "values": [1, 2, 3]}, int3,
+         "bad_request", None, "not both"),
+        ({"dtype": "int64", "values": "AQAAAAAAAAA="}, b"", "bad_request",
+         None, "JSON list or an attachment"),
     ]
 
     async def main():
         server = ScanServer(ServeConfig(port=0, max_elements=16,
+                                        max_frame_bytes=2048,
                                         batch_window=0.001))
         await server.start()
         try:
             reader, writer = await asyncio.open_connection(HOST, server.port)
-            for i, (values, dtype, code, details, words) in enumerate(cases):
-                obj = {"id": i, "op": "plus_scan", "values": values}
-                if dtype is not None:
-                    obj["dtype"] = dtype
-                frame = await _exchange(reader, writer, obj)
+            for i, (fields, raw, code, details, words) in enumerate(cases):
+                obj = {"id": i, "op": "plus_scan", **fields}
+                if details == "frame":   # header line plus attachment
+                    details = {"max_frame_bytes": 2048,
+                               "got": len(json.dumps(obj)) + 1 + len(raw)}
+                frame = await _exchange(reader, writer, obj, raw)
                 assert frame["ok"] is False and frame["id"] == i, frame
                 assert frame["error"]["code"] == code, frame
                 assert frame["error"].get("details") == details, frame
                 assert words in frame["error"]["message"], frame
                 # the same connection still serves a conforming frame
-                good = await _exchange(reader, writer, {
-                    "id": 100 + i, "op": "plus_scan", "dtype": "int64",
-                    "values": int3})
-                assert good["ok"] is True, good
-                assert np.array_equal(
-                    decode_values(good["values"], good["dtype"]), [0, 1, 3])
+                await _assert_still_serving(reader, writer, i)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+def test_garbage_after_an_attachment_is_its_own_bad_frame():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            obj, raw = _good_request(0)
+            writer.write((json.dumps(obj) + "\n").encode() + raw
+                         + b"\x00\xffnot a frame\n")
+            await writer.drain()
+            replies = [await read_frame(reader, 1 << 20) for _ in range(2)]
+            by_ok = {frame["ok"]: (frame, att) for frame, att in replies}
+            frame, att = by_ok[True]
+            assert frame["id"] == 100 and frame["nbytes"] == 24
+            assert np.array_equal(decode_values(att, "int64"), [0, 1, 3])
+            assert by_ok[False][0]["error"]["code"] == "bad_request"
+            await _assert_still_serving(reader, writer, 1)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("nbytes", [-8, 8.0, "8", True, None, [8]])
+def test_bad_nbytes_loses_framing_one_reply_then_hang_up(nbytes):
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            header = json.dumps({"id": 5, "op": "plus_scan",
+                                 "dtype": "int64", "nbytes": nbytes})
+            line, follow_up = await _raw_request(
+                server.port, header.encode() + b"\n" + bytes(8)
+                + b'{"id": 6, "op": "ping"}\n')
+            frame = json.loads(line)
+            assert frame["ok"] is False and frame["id"] == 5, frame
+            assert frame["error"]["code"] == "bad_request"
+            assert "nbytes" in frame["error"]["message"]
+            assert follow_up == b""  # hung up: the ping is never read
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("limits,tripped", [
+    ({"max_frame_bytes": 1 << 16}, "max_frame_bytes"),
+    ({"max_elements": 1 << 10, "max_frame_bytes": 16 << 20}, "max_elements"),
+])
+def test_refused_attachment_is_drained_not_held(limits, tripped):
+    """An 8 MiB attachment over either limit is read and dropped in
+    bounded chunks: the process never holds it, and the connection goes
+    on to serve the next frame."""
+    nbytes = 8 << 20
+    chunk = bytes(1 << 16)
+
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001,
+                                        **limits))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            tracemalloc.start()
+            try:
+                writer.write(json.dumps({
+                    "id": 1, "op": "plus_scan", "dtype": "int64",
+                    "nbytes": nbytes}).encode() + b"\n")
+                for _ in range(nbytes // len(chunk)):
+                    writer.write(chunk)
+                    await writer.drain()
+                frame, _ = await read_frame(reader, 1 << 20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert frame["ok"] is False and frame["id"] == 1, frame
+            assert frame["error"]["code"] == "too_large", frame
+            assert frame["error"]["details"][tripped] == limits[tripped]
+            assert peak < nbytes // 4, peak
+            await _assert_still_serving(reader, writer, 0)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
+
+
+def test_truncated_attachment_then_eof_closes_cleanly():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            _, writer = await asyncio.open_connection(HOST, server.port)
+            writer.write(b'{"id": 1, "op": "plus_scan", "dtype": "int64",'
+                         b' "nbytes": 800}\n' + bytes(100))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            # another connection is served meanwhile
+            client = await ServeClient.connect(HOST, server.port)
+            assert np.array_equal(await client.scan("plus_scan", [4, 5]),
+                                  [0, 4])
+            await client.close()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while server._conn_tasks and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+            assert not server._conn_tasks
+            # nothing was admitted for the torn frame, nothing answered
+            assert server.stats.requests == 1 and server.stats.errors == 0
+        finally:
+            await server.shutdown()
+        assert server.pending_count == 0
+        leaked = [t for t in asyncio.all_tasks()
+                  if t is not asyncio.current_task() and not t.done()]
+        assert not leaked, leaked
+
+    asyncio.run(main())
+
+
+def test_attachment_on_admin_ops_is_consumed():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            int2 = _attached([7, 8], "int64")
+            pong = await _exchange(reader, writer, {
+                "id": 1, "op": "ping", "dtype": "int64", "nbytes": 16}, int2)
+            assert pong["ok"] is True and pong["pong"] is True, pong
+            await _assert_still_serving(reader, writer, 1)
+            stats = await _exchange(reader, writer, {
+                "id": 2, "op": "stats", "dtype": "int64", "nbytes": 16}, int2)
+            assert stats["ok"] is True and "limits" in stats, stats
+            await _assert_still_serving(reader, writer, 2)
+            # no dtype: the bytes cannot be read as items, so the frame is
+            # refused, but it is still consumed whole
+            bad = await _exchange(reader, writer, {
+                "id": 3, "op": "ping", "nbytes": 16}, int2)
+            assert bad["error"]["code"] == "bad_request", bad
+            await _assert_still_serving(reader, writer, 3)
             writer.close()
             await writer.wait_closed()
         finally:
@@ -223,6 +410,42 @@ def test_inexact_list_values_are_rejected_not_rounded(dtype, values):
             decode_values(values, dtype)
     assert info.value.code == "bad_request"
     assert dtype in info.value.message
+
+
+#: strings a float dtype must refuse: only the encoder's four spellings
+#: of the specials ("nan", "inf", "-inf", "-0.0") are numbers
+BAD_FLOAT_STRINGS = ["1e400", "Infinity", " nan ", "1.5", "NaN", "+inf",
+                     "-nan", "0", "-0", ""]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("text", BAD_FLOAT_STRINGS)
+def test_float_strings_other_than_the_specials_are_rejected(text, dtype):
+    with pytest.raises(ProtocolError) as info:
+        decode_values([1.0, text], dtype)
+    assert info.value.code == "bad_request"
+    assert "element 1" in info.value.message
+
+
+def test_float_strings_other_than_the_specials_rejected_on_the_wire():
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=0.001))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, server.port)
+            for i, text in enumerate(BAD_FLOAT_STRINGS):
+                frame = await _exchange(reader, writer, {
+                    "id": i, "op": "plus_scan", "dtype": "float64",
+                    "values": [text]})
+                assert frame["ok"] is False and frame["id"] == i, frame
+                assert frame["error"]["code"] == "bad_request", frame
+            assert server.stats.requests == 0   # none got past parsing
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(main())
 
 
 def test_inexact_list_values_get_bad_request_on_the_wire():
@@ -264,25 +487,28 @@ def test_reply_mirrors_request_encoding_including_cache_hits():
         await server.start()
         try:
             reader, writer = await asyncio.open_connection(HOST, server.port)
-            as_list = {"op": "plus_scan", "dtype": "int64",
-                       "values": [1, 2, 3]}
-            as_packed = dict(as_list, values=_packed([1, 2, 3], "int64"))
-            replies = [await _exchange(reader, writer, dict(obj, id=i))
-                       for i, obj in enumerate((as_list, as_packed,
-                                                as_list, as_packed))]
+            as_list = ({"op": "plus_scan", "dtype": "int64",
+                        "values": [1, 2, 3]}, b"")
+            as_attached = ({"op": "plus_scan", "dtype": "int64",
+                            "nbytes": 24}, _attached([1, 2, 3], "int64"))
+            replies = [await _exchange(reader, writer, dict(obj, id=i), raw)
+                       for i, (obj, raw) in enumerate((as_list, as_attached,
+                                                       as_list, as_attached))]
             assert [r["cached"] for r in replies] == [False, True,
                                                       True, True]
             for r in replies[0::2]:
-                assert r["values"] == [0, 1, 3], r
+                assert r["values"] == [0, 1, 3] and "nbytes" not in r, r
             for r in replies[1::2]:
-                assert r["values"] == _packed([0, 1, 3], "int64"), r
+                assert r["nbytes"] == 24 and r["dtype"] == "int64", r
+                assert r["values"] == _attached([0, 1, 3], "int64"), r
             writer.close()
             await writer.wait_closed()
 
-            # the client always sends packed, so it gets packed back
+            # the client always sends an attachment, so it gets one back
             client = await ServeClient.connect(HOST, server.port)
             frame = await client.request("plus_scan", [4, 5])
-            assert isinstance(frame["values"], str), frame
+            assert isinstance(frame["values"], bytes), frame
+            assert frame["nbytes"] == 16, frame
             await client.close()
         finally:
             await server.shutdown()

@@ -14,9 +14,11 @@ Two layers of properties:
 * **Engine level** (Hypothesis, no sockets) — for arbitrary groups of
   integer vectors, :meth:`BatchEngine.run_group` is bit-identical to
   per-request :meth:`BatchEngine.run_solo`; value encoding survives the
-  wire bit for bit in every dtype (packed) and value for value including
-  specials (list); the quota meter never admits a tenant at
-  non-positive balance and always reconciles its accounting.
+  wire bit for bit in every dtype (attachment) and value for value
+  including specials (list); :func:`read_frame` splits any chunking of a
+  mixed frame stream back into exactly the frames written; the quota
+  meter never admits a tenant at non-positive balance and always
+  reconciles its accounting.
 """
 import asyncio
 import json
@@ -30,8 +32,8 @@ from repro.serve import SERVABLE_OPS, BatchEngine, ScanServer, ServeClient, \
     ServeConfig
 from repro.serve.batching import proportional_shares
 from repro.serve.cache import ResultCache
-from repro.serve.protocol import DTYPES, decode_values, encode_values, \
-    ok_frame
+from repro.serve.protocol import DTYPES, decode_values, encode_frame, \
+    encode_values, ok_frame, read_frame
 from repro.serve.quota import QuotaManager, QuotaPolicy
 from repro.verify.corpus import generate_cases
 from repro.verify.opset import OPS
@@ -136,23 +138,33 @@ def test_batched_segmented_group_equals_solo(group):
         assert np.array_equal(got, want)
 
 
+def _split(frame: bytes):
+    """One encoded frame back into (header, attachment bytes or None)."""
+    line, _, rest = frame.partition(b"\n")
+    header = json.loads(line)
+    assert len(rest) == header.get("nbytes", 0)
+    return header, (rest if "nbytes" in header else None)
+
+
 @given(st.lists(st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.just(-0.0)), max_size=50))
 @settings(max_examples=80, deadline=None)
 def test_float64_values_survive_the_wire(xs):
-    """encode -> wire -> decode is the identity.  The packed form keeps
+    """encode -> wire -> decode is the identity.  The attachment keeps
     every bit, NaN payload and sign included; the list form keeps every
     value and -0.0's sign, but spells every NaN as the canonical
     ``"nan"`` (payload and sign bits are not semantic in the engines)."""
     arr = np.asarray(xs, dtype=np.float64)
-    back = decode_values(encode_values(arr), "float64")
+    header, raw = _split(ok_frame(1, arr, steps=0, batched=1, cached=False,
+                                  packed=True))
+    assert "values" not in header and header["dtype"] == "float64"
+    back = decode_values(raw, header["dtype"])
     assert np.array_equal(arr.view(np.uint64), back.view(np.uint64))
 
-    frame = json.loads(ok_frame(1, arr, steps=0, batched=1, cached=False,
-                                packed=False))
-    assert isinstance(frame["values"], list)
-    back = decode_values(frame["values"], frame["dtype"])
+    header, raw = _split(ok_frame(1, arr, steps=0, batched=1, cached=False))
+    assert raw is None and isinstance(header["values"], list)
+    back = decode_values(header["values"], header["dtype"])
     assert np.array_equal(arr, back, equal_nan=True)
     finite_sign = ~np.isnan(arr)
     assert np.array_equal(np.signbit(arr)[finite_sign],
@@ -172,23 +184,37 @@ def _dtype_extremes(dtype: str) -> np.ndarray:
     return np.array([ii.min, ii.max, 0, ii.min + 1, ii.max - 1], dtype=dt)
 
 
+def _nan_payloads(dtype: str) -> np.ndarray:
+    """Quiet and signalling NaNs with non-default payloads and signs."""
+    bits = {"float32": [0x7FC00001, 0xFFC12345, 0x7F800001],
+            "float64": [0x7FF8000000000001, 0xFFF8DEADBEEF0001,
+                        0x7FF0000000000001]}[dtype]
+    width = np.uint32 if dtype == "float32" else np.uint64
+    return np.array(bits, dtype=width).view(dtype)
+
+
 @st.composite
 def wire_arrays(draw):
     dtype = draw(st.sampled_from(sorted(DTYPES)))
     body = draw(hnp.arrays(np.dtype(dtype), st.integers(0, 40)))
     if draw(st.booleans()):
         body = np.concatenate([body, _dtype_extremes(dtype)])
+        if np.dtype(dtype).kind == "f":
+            body = np.concatenate([body, _nan_payloads(dtype)])
     return dtype, body
 
 
 @given(wire_arrays())
 @settings(max_examples=200, deadline=None)
 def test_packed_round_trip_is_bit_exact_for_every_dtype(case):
-    """decode(encode(a)) == a byte for byte, for all 11 wire dtypes,
-    empty vectors and dtype extremes included; the decoded array is a
-    fresh, writable, native-endian copy."""
+    """decode(attachment(a)) == a byte for byte, for all 11 wire dtypes,
+    empty vectors, dtype extremes (``uint64`` max, ``-0.0``) and NaN
+    payloads included; the decoded array is a fresh, writable,
+    native-endian copy."""
     dtype, arr = case
-    back = decode_values(encode_values(arr), dtype)
+    header, raw = _split(b"".join(encode_frame({"id": 1}, arr)))
+    assert header == {"id": 1, "dtype": dtype, "nbytes": arr.nbytes}
+    back = decode_values(raw, dtype)
     assert back.dtype == np.dtype(dtype) and back.shape == arr.shape
     assert back.dtype.isnative and back.flags.writeable
     assert back.flags.owndata
@@ -196,13 +222,71 @@ def test_packed_round_trip_is_bit_exact_for_every_dtype(case):
 
 
 def test_packed_form_is_little_endian_whatever_the_host():
-    """The wire bytes are little-endian, so a big-endian array encodes to
-    the same string as its native twin."""
-    native = np.array([1, -2, 3 << 40], dtype=np.int64)
-    swapped = native.astype(native.dtype.newbyteorder(">"))
-    assert encode_values(swapped) == encode_values(native)
-    assert np.array_equal(decode_values(encode_values(swapped), "int64"),
-                          native)
+    """The attachment is little-endian, so a byte-swapped array encodes
+    to the same frame as its native twin (header ``dtype`` included), in
+    every wire dtype; extremes (``uint64`` max, ``-0.0``) and NaN
+    payloads come back bit for bit."""
+    for dtype in sorted(DTYPES):
+        native = _dtype_extremes(dtype)
+        if native.dtype.kind == "f":
+            native = np.concatenate([native, _nan_payloads(dtype)])
+        swapped = native.astype(native.dtype.newbyteorder(">"))
+        assert (b"".join(encode_frame({"id": 1}, swapped))
+                == b"".join(encode_frame({"id": 1}, native))), dtype
+        _, raw = _split(b"".join(encode_frame({}, swapped)))
+        assert decode_values(raw, dtype).tobytes() == native.tobytes()
+
+
+@st.composite
+def frame_streams(draw):
+    """Several frames, mixed list and attachment forms, as the exact
+    (header, attachment) pairs written and the bytes on the wire."""
+    frames = []
+    for i in range(draw(st.integers(1, 6))):
+        dtype, arr = draw(wire_arrays())
+        header = {"id": i, "op": "plus_scan"}
+        if draw(st.booleans()):
+            parts = encode_frame(header, arr)
+            frames.append((json.loads(parts[0]), bytes(parts[1])))
+        else:
+            parts = encode_frame(dict(header, dtype=dtype,
+                                      values=encode_values(arr)))
+            frames.append((json.loads(parts[0]), None))
+        frames[-1] += (b"".join(parts),)
+    wire = b"".join(f[2] for f in frames)
+    cuts = sorted(draw(st.lists(st.integers(0, len(wire)), max_size=12)))
+    return [f[:2] for f in frames], wire, cuts
+
+
+@given(frame_streams())
+@settings(max_examples=120, deadline=None)
+def test_read_frame_recovers_frames_from_any_chunking(case):
+    """Chunk boundaries anywhere (inside a header, inside an attachment,
+    between the two) never change what :func:`read_frame` returns: the
+    frames written, in order, then ``None`` at EOF."""
+    written, wire, cuts = case
+
+    async def main():
+        reader = asyncio.StreamReader(limit=1 << 20)
+
+        async def feed():
+            for lo, hi in zip([0] + cuts, cuts + [len(wire)]):
+                reader.feed_data(wire[lo:hi])
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        got = []
+        while (frame := await read_frame(reader, 1 << 20)) is not None:
+            got.append(frame)
+        await feeder
+        return got
+
+    got = asyncio.run(main())
+    assert len(got) == len(written)
+    for (header, raw), (want_header, want_raw) in zip(got, written):
+        assert header == want_header
+        assert raw == want_raw
 
 
 # --------------------------------------------------------------------- #
