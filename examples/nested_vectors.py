@@ -2,8 +2,8 @@
 
 The paper works with raw (values, segment-flags) pairs; downstream users
 get :class:`repro.core.SegmentedVector` — a vector of subvectors with the
-segmented operations as methods — and the :func:`repro.machine.trace`
-profiler that breaks a pipeline's program steps down by phase.
+segmented operations as methods — and the :func:`repro.observe.profile`
+span profiler that breaks a pipeline's program steps down by phase.
 
 The demo: a fleet of delivery routes (one segment per route), processed
 entirely with per-segment scans.
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import Machine
 from repro.core import SegmentedVector
-from repro.machine import trace
+from repro.observe import profile, span
 
 
 def main() -> None:
@@ -29,14 +29,14 @@ def main() -> None:
     for i, r in enumerate(legs.to_nested()):
         print(f"  route {i}: {r}")
 
-    with trace(m) as t:
-        with t.phase("odometer"):
+    with profile(m) as p:
+        with span("odometer"):
             # distance covered before each leg: a segmented +-scan
             odom = legs.plus_scan()
-        with t.phase("totals"):
+        with span("totals"):
             totals = legs.sums()
             longest_leg = legs.maxima()
-        with t.phase("prune"):
+        with span("prune"):
             # drop all legs shorter than 10 km, keep the route structure
             keep = legs.values >= 10
             long_legs = legs.pack(keep)
@@ -47,19 +47,22 @@ def main() -> None:
     print("legs >= 10 km:     ", long_legs.to_nested())
 
     print("\nstep profile (where did the program steps go?):")
-    print(t.report())
+    print(f"  total: {p.total_steps} steps")
+    for s in p.root.children:
+        kinds = ", ".join(f"{k}={v}" for k, v in sorted(s.by_kind().items()))
+        print(f"  {s.name:<10} {s.steps:>4} steps  [{kinds}]")
 
     # the punchline: the whole pipeline costs the same for 6 routes or 6000
     m2 = Machine("scan")
     big = SegmentedVector.from_lengths(
         m2.vector(rng.integers(3, 40, 30_000)),
         np.full(6000, 5))
-    with trace(m2) as t2:
+    with profile(m2) as p2:
         big.plus_scan()
         big.sums()
         big.pack(big.values >= 10)
-    print(f"\nsame pipeline on 6000 routes / 30000 legs: {t2.total_steps} "
-          f"steps (vs {t.total_steps} for the toy — independent of size)")
+    print(f"\nsame pipeline on 6000 routes / 30000 legs: {p2.total_steps} "
+          f"steps (vs {p.total_steps} for the toy — independent of size)")
 
 
 if __name__ == "__main__":

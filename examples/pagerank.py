@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import Machine
 from repro.algorithms import SparseMatrix
-from repro.machine import trace
+from repro.observe import profile
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
 
     damping = 0.85
     rank = np.full(n, 1.0 / n)
-    with trace(m) as t:
+    with profile(m) as p:
         for it in range(60):
             dangling = rank[out_deg == 0].sum()
             spread = transition.matvec(rank)
@@ -53,8 +53,8 @@ def main() -> None:
 
     top = np.argsort(-rank)[:8]
     print(f"\nconverged after {it + 1} iterations, "
-          f"{t.total_steps} total program steps "
-          f"(~{t.total_steps // (it + 1)} per iteration, O(1))")
+          f"{p.total_steps} total program steps "
+          f"(~{p.total_steps // (it + 1)} per iteration, O(1))")
     print("top pages by rank:")
     peak = rank[top[0]]
     for p in top:

@@ -144,9 +144,8 @@ class DistributedBackend(NumPyBackend):
         else:
             worth = self.pool.available  # spawns the pool on first need
         if not worth and self._pool is not None:
-            self._pool.ledger.ops += 1
-            self._pool.ledger.ops_local += 1
-            self._pool._m_ops_local.inc()  # noqa: SLF001 - pool-owned handle
+            self._pool.ledger.bump("ops")
+            self._pool.ledger.bump("ops_local")
         return worth
 
     # ---------------------- distributed primitives --------------------- #

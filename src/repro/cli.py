@@ -295,22 +295,17 @@ def _cluster(args) -> int:
         print(f"step charges: distributed={m.steps} numpy={baseline.steps} "
               f"({'identical' if m.steps == baseline.steps else 'DIVERGED'})")
 
-        print("\n-- cluster ledger --")
-        print(backend.ledger.summary())
-
-        print("\n-- cluster metrics --")
-        for name in registry.names():
-            if not name.startswith("cluster."):
-                continue
-            snap = registry.snapshot()[name]
-            if snap["type"] == "histogram":
-                print(f"  {name:<32} count={snap['count']} "
-                      f"mean={snap['mean']:.1f} max={snap['max']}")
-            else:
-                print(f"  {name:<32} {snap['value']}")
+        ledger = backend.ledger.snapshot()
+        print("\n-- cluster ledger (also the registry's cluster.* counters) --")
+        for field, value in ledger.items():
+            print(f"  {field:<20} {value}")
+        for name in ("carry_rounds", "shard_elements"):
+            hist = registry.histogram(f"cluster.{name}")
+            print(f"  {name:<20} count={hist.count} mean={hist.mean:.1f} "
+                  f"max={hist.max or 0}")
         if not ok or m.steps != baseline.steps:
             return 1
-        if not backend.ledger.reconciles():
+        if not ledger["reconciles"]:
             print("ledger does NOT reconcile")
             return 1
         return 0

@@ -3,23 +3,29 @@
 The distributed backend's promise is not "workers never fail" but "every
 failure is accounted for and the result is still right".  The
 :class:`ClusterLedger` is the accounting half of that promise, in the
-mold of :class:`repro.machine.counters.FaultCounters`: plain integer
-counters with a :meth:`reconciles` invariant that ties them together —
-every classified failure must end in exactly one retry or one degraded
-shard, so ``failures == retries + degraded_shards`` always holds after a
-job completes.  Chaos tests assert these counts exactly; the ``cluster``
-CLI prints :meth:`summary` as its ledger table.
+mold of :class:`repro.machine.counters.FaultCounters`: a
+:class:`~repro.observe.metrics.Ledger` of integer counters (each also
+published as ``cluster.<field>``) with a :meth:`reconciles` invariant
+that ties them together — every classified failure must end in exactly
+one retry or one degraded shard, so ``failures == retries +
+degraded_shards`` always holds after a job completes.  Chaos tests
+assert these counts exactly; the ``cluster`` CLI prints the snapshot as
+its ledger table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+
+from ..observe.metrics import Ledger
 
 __all__ = ["ClusterLedger"]
 
 
 @dataclass
-class ClusterLedger:
+class ClusterLedger(Ledger):
     """Counters for one :class:`~repro.cluster.pool.WorkerPool`'s lifetime."""
+
+    prefix = "cluster"
 
     # traffic
     ops: int = 0                  #: primitive executions routed to the backend
@@ -39,6 +45,7 @@ class ClusterLedger:
 
     # recovery actions (what the supervisor did)
     retries: int = 0              #: shard re-dispatches after a failure
+    spawns: int = 0               #: worker processes started, respawns included
     respawns: int = 0             #: worker processes restarted
     degraded_shards: int = 0      #: shards computed host-side after retry exhaustion
     orphaned_shards: int = 0      #: shards moved host-side because no worker was live
@@ -55,28 +62,3 @@ class ClusterLedger:
         """The supervision invariant: every failure was answered by
         exactly one retry or one host-side degradation."""
         return self.failures == self.retries + self.degraded_shards
-
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
-    def summary(self) -> str:
-        lines = [
-            f"ops              {self.ops:8d}  (distributed {self.ops_distributed}, "
-            f"local {self.ops_local})",
-            f"shards           {self.shards:8d}",
-            f"chaos injected   {self.chaos_kills + self.chaos_hangs + self.chaos_corruptions:8d}"
-            f"  (kill {self.chaos_kills}, hang {self.chaos_hangs}, "
-            f"corrupt {self.chaos_corruptions})",
-            f"failures         {self.failures:8d}  (timeout {self.timeouts}, "
-            f"crash {self.crashes}, corrupt {self.corrupt_replies})",
-            f"retries          {self.retries:8d}",
-            f"respawns         {self.respawns:8d}",
-            f"degraded shards  {self.degraded_shards:8d}",
-            f"orphaned shards  {self.orphaned_shards:8d}",
-            f"heartbeat fails  {self.heartbeat_failures:8d}",
-            f"dead workers     {self.dead_workers:8d}",
-            f"pool degradations{self.pool_degradations:8d}",
-            f"reconciles       {'yes' if self.reconciles() else 'NO'}",
-        ]
-        return "\n".join(lines)

@@ -26,7 +26,8 @@ budget compute the shard host-side **with the identical kernels**, so
 degradation changes latency, never results.  The
 :class:`~repro.cluster.ledger.ClusterLedger` records each event, and the
 invariant ``failures == retries + degraded_shards`` reconciles the whole
-story; :mod:`repro.observe` metrics mirror the counts for dashboards.
+story; each event is one ``ledger.bump``, which also publishes it as a
+``cluster.*`` counter (:class:`repro.observe.metrics.Ledger`).
 
 Pools are heavy (N processes), so module-level helpers keep one shared
 pool per worker count (:func:`shared_pool`) and an ``atexit`` hook
@@ -59,6 +60,12 @@ __all__ = ["RetryPolicy", "WorkerPool", "shared_pool", "set_shared_chaos",
 
 #: ops the pool knows how to shard (reduce is single-phase)
 _SCAN_OPS = ("plus_scan", "max_scan", "seg_plus", "seg_extreme")
+
+#: the ledger field each failure class and chaos directive is counted in
+_FAILURE_FIELDS = {"timeout": "timeouts", "crash": "crashes",
+                   "corrupt": "corrupt_replies"}
+_CHAOS_FIELDS = {"kill": "chaos_kills", "hang": "chaos_hangs",
+                 "corrupt": "chaos_corruptions"}
 
 
 @dataclass(frozen=True)
@@ -198,6 +205,10 @@ class WorkerPool:
         self.workers = workers
         self.policy = policy or RetryPolicy()
         self.ledger = ClusterLedger()
+        #: magnitudes only, so straight to the registry: elements per
+        #: shard dispatch and carry-exchange rounds per sharded op
+        self._shard_elements = registry.histogram("cluster.shard_elements")
+        self._carry_rounds = registry.histogram("cluster.carry_rounds")
         self.broken = False
         self.closed = False
         self._chaos: Optional[ChaosState] = None
@@ -213,23 +224,6 @@ class WorkerPool:
         # "leaked" segments at exit.  Forked after this line, every worker
         # inherits the one tracker and registration stays balanced.
         resource_tracker.ensure_running()
-
-        m = registry
-        self._m_spawned = m.counter("cluster.workers.spawned")
-        self._m_respawned = m.counter("cluster.workers.respawned")
-        self._m_dead = m.counter("cluster.workers.dead")
-        self._m_ops_dist = m.counter("cluster.ops.distributed")
-        self._m_ops_local = m.counter("cluster.ops.local")
-        self._m_shards = m.counter("cluster.shards.dispatched")
-        self._m_degraded = m.counter("cluster.shards.degraded")
-        self._m_retries = m.counter("cluster.retries")
-        self._m_fail = {k: m.counter(f"cluster.failures.{k}")
-                        for k in ("timeout", "crash", "corrupt")}
-        self._m_heartbeat = m.counter("cluster.heartbeat.failures")
-        self._m_chaos = m.counter("cluster.chaos.injected")
-        self._m_pool_degr = m.counter("cluster.pool.degradations")
-        self._m_rounds = m.histogram("cluster.carry_rounds")
-        self._m_elems = m.histogram("cluster.shard_elements")
 
         for handle in self._slots:
             self._spawn(handle)
@@ -251,7 +245,7 @@ class WorkerPool:
         child.close()
         handle.process, handle.conn = proc, parent
         handle.last_seen = time.monotonic()
-        self._m_spawned.inc()
+        self.ledger.bump("spawns")
 
     def set_chaos(self, plan: Optional[ChaosPlan]) -> None:
         """Install (or clear) a chaos plan; resets its replay cursor."""
@@ -307,16 +301,13 @@ class WorkerPool:
         if handle.failures >= self.policy.max_worker_failures:
             if not handle.dead:
                 handle.dead = True
-                self.ledger.dead_workers += 1
-                self._m_dead.inc()
+                self.ledger.bump("dead_workers")
                 if not any(not h.dead for h in self._slots):
                     self.broken = True
-                    self.ledger.pool_degradations += 1
-                    self._m_pool_degr.inc()
+                    self.ledger.bump("pool_degradations")
             return
         self._spawn(handle)
-        self.ledger.respawns += 1
-        self._m_respawned.inc()
+        self.ledger.bump("respawns")
 
     def _ensure_alive(self) -> None:
         """Pre-job health sweep: respawn silently-dead workers and ping
@@ -326,8 +317,7 @@ class WorkerPool:
             if h.dead:
                 continue
             if not h.alive:
-                self.ledger.heartbeat_failures += 1
-                self._m_heartbeat.inc()
+                self.ledger.bump("heartbeat_failures")
                 self._recycle(h)
                 continue
             if now - h.last_seen < self.policy.heartbeat_interval:
@@ -336,26 +326,15 @@ class WorkerPool:
             try:
                 h.conn.send({"cmd": "ping", "seq": seq})
             except (BrokenPipeError, OSError):
-                self.ledger.heartbeat_failures += 1
-                self._m_heartbeat.inc()
+                self.ledger.bump("heartbeat_failures")
                 self._recycle(h)
                 continue
             status, _ = self._await(h, seq, self.policy.heartbeat_timeout)
             if status == "ok":
                 h.failures = 0
             else:
-                self.ledger.heartbeat_failures += 1
-                self._m_heartbeat.inc()
+                self.ledger.bump("heartbeat_failures")
                 self._recycle(h)
-
-    def _note_failure(self, kind: str) -> None:
-        if kind == "timeout":
-            self.ledger.timeouts += 1
-        elif kind == "corrupt":
-            self.ledger.corrupt_replies += 1
-        else:
-            self.ledger.crashes += 1
-        self._m_fail[kind].inc()
 
     # --------------------------- dispatch ------------------------------ #
 
@@ -366,24 +345,17 @@ class WorkerPool:
         if d is None:
             return None
         kind, seconds = d
-        if kind == "kill":
-            self.ledger.chaos_kills += 1
-        elif kind == "hang":
-            self.ledger.chaos_hangs += 1
-            if seconds is None:
-                seconds = self.policy.op_deadline + 1.0
-        else:
-            self.ledger.chaos_corruptions += 1
-        self._m_chaos.inc()
+        self.ledger.bump(_CHAOS_FIELDS[kind])
+        if kind == "hang" and seconds is None:
+            seconds = self.policy.op_deadline + 1.0
         return (kind, seconds)
 
     def _send(self, handle: _WorkerHandle, cmd: dict, phase: int) -> int:
         cmd = dict(cmd)
         cmd["seq"] = handle.next_seq()
         cmd["chaos"] = self._directive(handle, phase)
-        self.ledger.shards += 1
-        self._m_shards.inc()
-        self._m_elems.observe(cmd["stop"] - cmd["start"])
+        self.ledger.bump("shards")
+        self._shard_elements.observe(cmd["stop"] - cmd["start"])
         try:
             handle.conn.send(cmd)
         except (BrokenPipeError, OSError):
@@ -451,11 +423,9 @@ class WorkerPool:
             attempt += 1
             worker = self._idle_live_worker(busy)
             if attempt > self.policy.max_retries or worker is None:
-                self.ledger.degraded_shards += 1
-                self._m_degraded.inc()
+                self.ledger.bump("degraded_shards")
                 return self._host_shard(job, cmd)
-            self.ledger.retries += 1
-            self._m_retries.inc()
+            self.ledger.bump("retries")
             time.sleep(self.policy.delay(attempt, self._rng))
             seq = self._send(worker, cmd, cmd["phase"])
             status, reply = self._await(worker, seq, self.policy.op_deadline)
@@ -464,7 +434,7 @@ class WorkerPool:
             if status == "ok":
                 worker.failures = 0
                 return reply.get("carry")
-            self._note_failure(status)
+            self.ledger.bump(_FAILURE_FIELDS[status])
             self._recycle(worker)
 
     def _run_phase(self, job: _ShmJob, shard_cmds: list):
@@ -485,7 +455,7 @@ class WorkerPool:
                 # nobody left to even fail: these shards were never
                 # dispatched, so they are orphans, not degradations
                 for shard, cmd in pending:
-                    self.ledger.orphaned_shards += 1
+                    self.ledger.bump("orphaned_shards")
                     results[shard] = self._host_shard(job, cmd)
                 break
             wave, pending = pending[:len(live)], pending[len(live):]
@@ -504,7 +474,7 @@ class WorkerPool:
                     handle.failures = 0
                     results[shard] = reply.get("carry")
                     continue
-                self._note_failure(status)
+                self.ledger.bump(_FAILURE_FIELDS[status])
                 self._recycle(handle)
                 failed.append((shard, cmd))
             busy: set = set()  # the wave is fully settled; every pipe is idle
@@ -544,9 +514,8 @@ class WorkerPool:
 
     def _begin_op(self, n: int) -> None:
         self._op_index = self.ledger.ops_distributed
-        self.ledger.ops += 1
-        self.ledger.ops_distributed += 1
-        self._m_ops_dist.inc()
+        self.ledger.bump("ops")
+        self.ledger.bump("ops_distributed")
         self._ensure_alive()
 
     def run_scan(self, op: str, values: np.ndarray,
@@ -581,7 +550,7 @@ class WorkerPool:
         algebra = monoid(op, values.dtype, identity, is_max)
         offsets, rounds = exclusive_exchange(carries, algebra.combine,
                                              algebra.identity)
-        self._m_rounds.observe(rounds)
+        self._carry_rounds.observe(rounds)
 
         host_flags = job.view("flags") if flags is not None else None
         phase2 = []

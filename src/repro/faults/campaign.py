@@ -196,10 +196,5 @@ def run_machine_campaign(*, trials: int = 50, n: int = 64,
             result.reconciled += 1
         if m.scan_unit_failed:
             result.degraded_machines += 1
-        result.totals.injected += fc.injected
-        result.totals.detected += fc.detected
-        result.totals.masked += fc.masked
-        result.totals.retried += fc.retried
-        result.totals.corrected += fc.corrected
-        result.totals.degraded_scans += fc.degraded_scans
+        result.totals.absorb(fc)
     return result

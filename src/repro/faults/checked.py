@@ -36,17 +36,9 @@ from ..baselines.erew_scan import erew_scan_steps
 from ..core import scans
 from ..core.simulate import sim_verify_max_scan, sim_verify_plus_scan
 from ..core.vector import Vector
-from ..observe.metrics import registry as _metrics
 from .plan import ReliabilityPolicy, ScanVerificationError
 
 __all__ = ["reliable_plus_scan", "reliable_max_scan"]
-
-# process-wide fault telemetry (repro.observe), alongside the per-machine
-# FaultCounters ledger
-_DETECTED = _metrics.counter("faults.detected")
-_RETRIED = _metrics.counter("faults.retried")
-_CORRECTED = _metrics.counter("faults.corrected")
-_DEGRADED = _metrics.counter("faults.degraded_scans")
 
 
 @contextmanager
@@ -86,14 +78,11 @@ def _reliable_scan(v: Vector, which: str, identity) -> Vector:
                 ok = sim_verify_max_scan(v, out, identity=identity)
         if ok:
             if attempt:
-                m.fault_counters.corrected += 1
-                _CORRECTED.inc()
+                m.fault_counters.bump("corrected")
             return out
-        m.fault_counters.detected += 1
-        _DETECTED.inc()
+        m.fault_counters.bump("detected")
         if attempt < attempts - 1:
-            m.fault_counters.retried += 1
-            _RETRIED.inc()
+            m.fault_counters.bump("retried")
 
     if policy.degrade_on_failure:
         m.scan_unit_failed = True
@@ -112,8 +101,7 @@ def _degraded_scan(v: Vector, which: str, identity) -> Vector:
     m = v.machine
     n = len(v)
     m.counter.charge("scan_degraded", erew_scan_steps(n) if n else 0)
-    m.fault_counters.degraded_scans += 1
-    _DEGRADED.inc()
+    m.fault_counters.bump("degraded_scans")
     data = v.data
     if which == "plus":
         if data.dtype == np.bool_:

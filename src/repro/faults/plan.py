@@ -35,11 +35,6 @@ import numpy as np
 
 from .._util import ceil_log2
 from ..machine.counters import FaultCounters
-from ..observe.metrics import registry as _metrics
-
-#: process-wide fault telemetry (the per-machine ``FaultCounters`` ledger
-#: still reconciles per run; this aggregates across every injector)
-_INJECTED_METRIC = _metrics.counter("faults.injected")
 
 __all__ = [
     "CIRCUIT_FIELDS",
@@ -264,10 +259,6 @@ class FaultInjector:
         self._rng = np.random.default_rng(self.plan.seed)
         self._op_counts: dict[str, int] = {}
 
-    def record_injected(self, count: int = 1) -> None:
-        self.counters.injected += count
-        _INJECTED_METRIC.inc(count)
-
     # ------------------------------------------------------------------ #
     # Circuit-level faults (consumed by repro.hardware)
     # ------------------------------------------------------------------ #
@@ -312,12 +303,12 @@ class FaultInjector:
             if len(out) == 0:
                 continue
             _flip_bit(out, f.element % len(out), f.bit)
-            self.record_injected()
+            self.counters.bump("injected")
         if random_hit:
             e = int(self._rng.integers(0, len(out)))
             bit = int(self._rng.integers(0, 8 * out.dtype.itemsize))
             _flip_bit(out, e, bit)
-            self.record_injected()
+            self.counters.bump("injected")
         return out
 
 

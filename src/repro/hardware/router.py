@@ -103,7 +103,7 @@ class HypercubeRouter:
                 fault = (self.injector.router_fault_at(d, int(mi))
                          if self.injector is not None else None)
                 if fault is not None:
-                    self.injector.record_injected()
+                    self.injector.counters.bump("injected")
                     if fault.kind == "drop":
                         alive[mi] = False  # lost before the link fires
                         continue

@@ -109,7 +109,7 @@ class SegmentedTreeScanCircuit:
                     stored_v[u] ^= 1 << (f.bit % self.width)
                 else:
                     continue  # seg_carry applies on the down sweep
-                self.injector.record_injected()
+                self.injector.counters.bump("injected")
 
         # down sweep: carries flow from the root (tied to the identity)
         carry = np.zeros(2 * n, dtype=np.int64)
@@ -123,7 +123,7 @@ class SegmentedTreeScanCircuit:
                 for f in faults.get(child, ()):
                     if f.field == "seg_carry":
                         carry[child] ^= 1 << (f.bit % self.width)
-                        self.injector.record_injected()
+                        self.injector.counters.bump("injected")
 
         # a leaf that starts a segment sees the identity, not the carry
         out = np.where(segf, self._identity(), carry[n:])

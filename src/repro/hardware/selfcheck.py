@@ -84,7 +84,7 @@ class ChecksumTreeScanCircuit:
             mask = (1 << self.width) - 1
             ok = (int(results[-1]) + int(vals[-1])) & mask == total
         if not ok and self.record_detections and self.injector is not None:
-            self.injector.counters.detected += 1
+            self.injector.counters.bump("detected")
         return results, cycles + CHECK_EXTRA_CYCLES, ok
 
     # --- hardware inventory -------------------------------------------- #

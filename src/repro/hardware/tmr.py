@@ -121,9 +121,9 @@ class TMRTreeScanCircuit:
             # one ledger entry per scan: a fault the vote out-voted is
             # masked; a checksum flag with unanimous replicas is a detection
             if disagreements:
-                self._injector.counters.masked += 1
+                self._injector.counters.bump("masked")
             elif not all(checks):
-                self._injector.counters.detected += 1
+                self._injector.counters.bump("detected")
         cycles = tmr_scan_cycles(self.n, self.width, checksum=self.checksum)
         return voted, cycles, TMRStats(disagreements=disagreements,
                                        checks_ok=tuple(checks))

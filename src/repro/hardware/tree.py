@@ -190,7 +190,7 @@ class TreeScanCircuit:
             else:
                 raise ValueError(f"unknown tree-circuit fault field "
                                  f"{f.field!r}")
-            self.injector.record_injected()
+            self.injector.counters.bump("injected")
 
     def last_reduction(self) -> int:
         """The reduction of the most recent scan, assembled from the

@@ -17,11 +17,8 @@ __all__ = [
     "ModelComparison",
     "StepCounter",
     "StepSnapshot",
-    "Trace",
-    "TraceEvent",
     "render_models_table",
     "run_comparison",
-    "trace",
 ]
 
 from .comparison import (  # noqa: E402  (needs Machine defined above)
@@ -30,4 +27,3 @@ from .comparison import (  # noqa: E402  (needs Machine defined above)
     render_models_table,
     run_comparison,
 )
-from .trace import Trace, TraceEvent, trace  # noqa: E402

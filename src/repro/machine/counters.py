@@ -12,21 +12,25 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..observe.metrics import Ledger
+
 __all__ = ["FaultCounters", "ForkCounters", "StepCounter", "StepSnapshot"]
 
 
 @dataclass
-class FaultCounters:
+class FaultCounters(Ledger):
     """Bookkeeping for the fault-tolerance layer (:mod:`repro.faults`).
 
-    ``injected`` is incremented by a :class:`~repro.faults.FaultInjector`
-    each time it actually flips a bit; the remaining counters are
-    incremented by whichever detection/recovery mechanism observed the
-    fault.  The ledger always reconciles:
+    ``injected`` is bumped by a :class:`~repro.faults.FaultInjector`
+    each time it actually flips a bit; the remaining counters are bumped
+    by whichever detection/recovery mechanism observed the fault.  The
+    ledger always reconciles:
     ``injected == detected + masked + undetected``
     (``undetected`` is the derived remainder — faults nothing noticed,
     including flips that never reached an output).
     """
+
+    prefix = "faults"
 
     injected: int = 0
     #: verification failures observed (checksum mismatch, self-check
@@ -55,23 +59,9 @@ class FaultCounters:
                  self.corrected, self.degraded_scans, self.undetected)
         return all(t >= 0 for t in terms)
 
-    def reset(self) -> None:
-        self.injected = 0
-        self.detected = 0
-        self.masked = 0
-        self.retried = 0
-        self.corrected = 0
-        self.degraded_scans = 0
-
-    def summary(self) -> str:
-        return (f"injected={self.injected} detected={self.detected} "
-                f"masked={self.masked} undetected={self.undetected} "
-                f"retried={self.retried} corrected={self.corrected} "
-                f"degraded_scans={self.degraded_scans}")
-
 
 @dataclass
-class ForkCounters:
+class ForkCounters(Ledger):
     """Spawn/sync/revoke ledger for the binary-forking model.
 
     Launching one primitive over ``p`` leaves forks a binary tree —
@@ -83,6 +73,8 @@ class ForkCounters:
     permutation); revokes never unbalance the ledger because the losing
     thread still joins.
     """
+
+    prefix = "fork"
 
     spawned: int = 0
     synced: int = 0
@@ -98,15 +90,6 @@ class ForkCounters:
         ledger-style exactness the fault counters also promise."""
         return (self.spawned >= 0 and self.revoked >= 0
                 and self.spawned == self.synced)
-
-    def reset(self) -> None:
-        self.spawned = 0
-        self.synced = 0
-        self.revoked = 0
-
-    def summary(self) -> str:
-        return (f"spawned={self.spawned} synced={self.synced} "
-                f"live={self.live} revoked={self.revoked}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,7 @@ class StepCounter:
     invocations regardless of their per-model cost (useful to verify that the
     *same* algorithm issues the same primitives on every model and only the
     charging differs).  ``listeners`` receive every ``(kind, cost)`` charge —
-    the hook behind :mod:`repro.machine.trace`.
+    the hook a :class:`~repro.observe.spans.Profiler` attaches to.
     """
 
     steps: int = 0

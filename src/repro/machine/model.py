@@ -357,8 +357,8 @@ class Machine:
             return
         p = self._effective_p(n)
         if p > 1:
-            self.fork_counters.spawned += p - 1
-            self.fork_counters.synced += p - 1
+            self.fork_counters.bump("spawned", p - 1)
+            self.fork_counters.bump("synced", p - 1)
 
     def _spawn_span(self, n: int) -> int:
         """Span of the fork/join tree launching one primitive over ``n``
@@ -493,7 +493,7 @@ class Machine:
         if revoked:
             if revoked < 0:
                 raise ValueError(f"negative revoke count: {revoked}")
-            self.fork_counters.revoked += revoked
+            self.fork_counters.bump("revoked", revoked)
         if n == 0:
             self.counter.charge("test_and_set", 0)
             return

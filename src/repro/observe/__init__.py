@@ -3,8 +3,10 @@
 Four concerns, one subsystem:
 
 * **metrics** (:mod:`repro.observe.metrics`) — a process-wide registry of
-  counters / gauges / histograms that :mod:`repro.machine`,
-  :mod:`repro.backends` and :mod:`repro.faults` publish into;
+  counters / gauges / histograms that :mod:`repro.machine` and
+  :mod:`repro.backends` publish into, and the :class:`Ledger` base of
+  the exact per-instance ledgers (faults, forks, cluster, serve), whose
+  every event is one ``bump`` that also reaches the registry;
 * **spans** (:mod:`repro.observe.spans`) — hierarchical regions recording
   step charges by primitive kind, wall time, backend ops and byte
   estimates; :func:`span` / :func:`traced` are free no-ops when no
@@ -17,9 +19,6 @@ Four concerns, one subsystem:
   ``baselines/*.json`` golden profiles gate step regressions (see
   ``tools/update_baselines.py`` and ``docs/observability.md``).
 
-The legacy :mod:`repro.machine.trace` API (``trace`` / ``Trace``) is a
-back-compat shim over :class:`~repro.observe.spans.Profiler`.
-
 Everything here observes; nothing here charges.  Step totals and results
 are bit-identical with or without instrumentation attached — a property
 the differential suite in ``tests/test_backends.py`` enforces.
@@ -31,12 +30,13 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
+    Ledger,
     MetricsRegistry,
+    Reservoir,
     get_registry,
     registry,
 )
 from .spans import (
-    ChargeEvent,
     Profiler,
     Span,
     current_profiler,
@@ -46,13 +46,14 @@ from .spans import (
 )
 
 __all__ = [
-    "ChargeEvent",
     "Counter",
     "Gauge",
     "Histogram",
+    "Ledger",
     "MetricsRegistry",
     "Profile",
     "Profiler",
+    "Reservoir",
     "Span",
     "available_algorithms",
     "current_profiler",

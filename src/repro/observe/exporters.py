@@ -1,7 +1,6 @@
 """Exporters: one profile, three audiences.
 
-* :func:`render_table` — a human-readable report for terminals, the
-  modern replacement for ``Trace.report()``;
+* :func:`render_table` — a human-readable report for terminals;
 * :func:`to_json` — the machine-readable form the golden-baseline
   harness diffs (:mod:`repro.observe.baselines`);
 * :func:`to_chrome_trace` — the Trace Event Format consumed by

@@ -1,4 +1,4 @@
-"""A process-wide metrics registry: counters, gauges, histograms.
+"""A process-wide metrics registry, and the ledgers that feed it.
 
 The cost model answers "how many program steps"; metrics answer the
 operational questions around it — how many scans ran in this process, how
@@ -15,8 +15,14 @@ Publishers in this repository:
   and the ``scan.n`` histogram of scan lengths;
 * :mod:`repro.backends` — ``backend.<name>.ops``, every primitive
   executed per backend;
-* :mod:`repro.faults` — ``faults.injected`` / ``detected`` / ``retried``
-  / ``corrected`` / ``degraded_scans``.
+* every :class:`Ledger` — ``<prefix>.<field>`` for each of its fields
+  (``faults.*``, ``fork.*``, ``cluster.*``, ``serve.*``).
+
+A :class:`Ledger` is an exact per-instance account (one machine's
+faults, one pool's failures, one server's traffic) that reconciles by
+its own rule.  Its :meth:`~Ledger.bump` is the only write an event
+needs: it moves the instance field and the process-wide counter
+together, so the two can never drift apart.
 
 Instruments are identity-stable: :meth:`MetricsRegistry.reset` zeroes
 values but keeps the objects, so handles cached at import or
@@ -27,13 +33,17 @@ registry) can never change a result or a step count.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Union
+from collections import deque
+from dataclasses import fields
+from typing import ClassVar, Dict, Iterator, Optional, Union
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Ledger",
     "MetricsRegistry",
+    "Reservoir",
     "get_registry",
     "registry",
 ]
@@ -131,6 +141,44 @@ class Histogram:
                 f"mean={self.mean:.1f})")
 
 
+class Reservoir:
+    """The most recent :attr:`SIZE` observations, kept exactly.
+
+    Where :class:`Histogram` answers "what order of magnitude", a
+    reservoir answers "what quantile": p50/p99 over the last 65536
+    observations, enough for any test or smoke run and bounded forever.
+    """
+
+    SIZE: ClassVar[int] = 65536
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: deque = deque(maxlen=self.SIZE)
+
+    def observe(self, value: Number) -> None:
+        self.values.append(value)
+
+    def reset(self) -> None:
+        self.values.clear()
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
+    def mean(self) -> float:
+        return sum(self.values) / len(self.values) if self.values else 0.0
+
+    def quantile(self, q: float) -> Optional[Number]:
+        """The nearest-rank ``q`` quantile, or ``None`` when empty."""
+        if not self.values:
+            return None
+        ordered = sorted(self.values)
+        return ordered[min(len(ordered) - 1,
+                           max(0, round(q * (len(ordered) - 1))))]
+
+
 Instrument = Union[Counter, Gauge, Histogram]
 
 
@@ -211,3 +259,85 @@ registry = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide registry (one per interpreter)."""
     return registry
+
+
+class Ledger:
+    """Base of the exact ledgers: dataclasses of ``int`` fields whose
+    every event is one :meth:`bump`.
+
+    A subclass declares ``prefix`` (its registry namespace), its fields,
+    any derived properties, and :meth:`reconciles` — the invariant that
+    ties its fields together.  Everything else is here, written once:
+
+    * :meth:`bump` adds to the field and to the process-wide counter
+      ``<prefix>.<field>`` (handles resolved once per ledger class);
+    * :meth:`observe` feeds a per-instance :class:`Reservoir` (exact
+      quantiles for this instance) and the registry histogram
+      ``<prefix>.<name>`` (magnitudes across the process);
+    * :meth:`reset` zeroes the fields and reservoirs and leaves the
+      registry alone, since registry counters only go up;
+    * :meth:`absorb` sums another ledger in without publishing again;
+    * :meth:`snapshot` / :meth:`summary` report fields, derived
+      properties and the reconcile verdict.
+    """
+
+    prefix: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        cls = type(self)
+        if "_counters" not in cls.__dict__:
+            cls._counters = {f.name: registry.counter(f"{cls.prefix}.{f.name}")
+                             for f in fields(cls)}
+        self._series: Dict[str, tuple] = {}
+
+    # ------------------------------ events ----------------------------- #
+
+    def bump(self, field: str, k: int = 1) -> None:
+        """Count ``k`` events of kind ``field`` (``k >= 0``)."""
+        self._counters[field].inc(k)
+        setattr(self, field, getattr(self, field) + k)
+
+    def observe(self, name: str, x: Number) -> None:
+        """Record one observation in the ``name`` series."""
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = (
+                Reservoir(), registry.histogram(f"{self.prefix}.{name}"))
+        series[0].observe(x)
+        series[1].observe(x)
+
+    def reservoir(self, name: str) -> Reservoir:
+        """This instance's exact observations of ``name`` (empty if none
+        were made yet)."""
+        series = self._series.get(name)
+        return series[0] if series else Reservoir()
+
+    def absorb(self, other: "Ledger") -> None:
+        """Add ``other``'s fields into this ledger.  Nothing is published:
+        ``other``'s events reached the registry when they happened."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def reset(self) -> None:
+        for f in fields(self):
+            setattr(self, f.name, f.default)
+        for res, _ in self._series.values():
+            res.reset()
+
+    # ----------------------------- questions --------------------------- #
+
+    def reconciles(self) -> bool:
+        raise NotImplementedError
+
+    def snapshot(self) -> dict:
+        """Fields, derived properties and ``reconciles``, JSON-ready."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for klass in reversed(type(self).__mro__):
+            for name, attr in vars(klass).items():
+                if isinstance(attr, property):
+                    out[name] = getattr(self, name)
+        out["reconciles"] = self.reconciles()
+        return out
+
+    def summary(self) -> str:
+        return " ".join(f"{k}={v}" for k, v in self.snapshot().items())

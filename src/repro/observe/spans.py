@@ -35,10 +35,9 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 __all__ = [
-    "ChargeEvent",
     "Profiler",
     "Span",
     "current_profiler",
@@ -46,14 +45,6 @@ __all__ = [
     "span",
     "traced",
 ]
-
-
-class ChargeEvent(NamedTuple):
-    """One step charge as seen by a profiler: kind, cost, owning span."""
-
-    kind: str
-    cost: int
-    span: "Span"
 
 
 @dataclass
@@ -169,8 +160,6 @@ class Profiler:
         self._epoch = clock()
         self.root = Span("(root)", t_start=0.0)
         self._stack: list[Span] = [self.root]
-        #: flat log of every charge seen, in order (the trace shim's data)
-        self.events: list[ChargeEvent] = []
         self.machine = None
         #: name of the attached machine's backend ("?" before attach)
         self.backend_name: str = "?"
@@ -205,7 +194,6 @@ class Profiler:
         cur = self._stack[-1]
         cur.self_by_kind[kind] = cur.self_by_kind.get(kind, 0) + cost
         cur.self_ops += 1
-        self.events.append(ChargeEvent(kind, cost, cur))
 
     def _on_backend_op(self, event) -> None:
         cur = self._stack[-1]

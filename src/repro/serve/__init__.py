@@ -16,9 +16,9 @@ Layers (each its own module, each independently testable):
 * :mod:`~repro.serve.quota` — per-tenant step budgets metered by the
   cost model;
 * :mod:`~repro.serve.cache` — input-digest result caching;
-* :mod:`~repro.serve.metrics` — ``serve.*`` registry instruments and
-  exact per-server SLO accounting;
-* :mod:`~repro.serve.server` — the asyncio server tying it together;
+* :mod:`~repro.serve.server` — the asyncio server tying it together,
+  with its :class:`~repro.serve.server.ServeLedger` (exact per-server
+  SLO accounting, published under ``serve.*``);
 * :mod:`~repro.serve.client` — the pipelining asyncio client.
 
 ``python -m repro serve`` runs it; ``docs/serving.md`` is the manual.

@@ -38,19 +38,20 @@ import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
+from ..observe.metrics import Ledger, registry
 from .batching import (SERVABLE_OPS, BatchEngine, batchable,
                        proportional_shares)
 from .cache import ResultCache
-from .metrics import ServeMetrics, ServerStats
 from .protocol import (ParsedRequest, ProtocolError, error_frame,
                        info_frame, ok_frame, parse_request, read_frame)
 from .quota import QuotaManager, QuotaPolicy
 
-__all__ = ["ServeConfig", "ScanServer", "classify_failure"]
+__all__ = ["ServeConfig", "ServeLedger", "ScanServer", "classify_failure"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,61 @@ def classify_failure(exc: BaseException) -> tuple:
 
 
 @dataclass
+class ServeLedger(Ledger):
+    """One server's exact SLO accounting: the ``stats`` op's payload.
+
+    Each field is also the registry counter ``serve.<field>``.  The
+    ``latency_us`` and ``batch_occupancy`` series keep this server's
+    recent observations exactly, for true p50/p99 (the registry's
+    power-of-two histograms of the same names answer magnitude, not
+    percentile).
+    """
+
+    prefix = "serve"
+
+    requests: int = 0          #: compute requests admitted
+    ok: int = 0                #: successful responses
+    errors: int = 0            #: structured-error responses, any stage
+    batches: int = 0           #: execution units dispatched, solo included
+    mega_ops: int = 0          #: execution units with occupancy > 1
+    batched_requests: int = 0  #: requests served inside a mega-op
+    steps_total: int = 0       #: steps charged by every execution unit
+    degraded_batches: int = 0  #: mega-ops that failed and re-ran solo
+
+    @property
+    def responses(self) -> int:
+        return self.ok + self.errors
+
+    @property
+    def mean_batch_occupancy(self) -> float:
+        return round(self.reservoir("batch_occupancy").mean, 3)
+
+    @property
+    def steps_per_request(self) -> Optional[float]:
+        return round(self.steps_total / self.ok, 3) if self.ok else None
+
+    @property
+    def latency_p50_ms(self) -> Optional[float]:
+        return self._latency_ms(0.50)
+
+    @property
+    def latency_p99_ms(self) -> Optional[float]:
+        return self._latency_ms(0.99)
+
+    def _latency_ms(self, q: float) -> Optional[float]:
+        us = self.reservoir("latency_us").quantile(q)
+        return round(us / 1e3, 3) if us is not None else None
+
+    def reconciles(self) -> bool:
+        """Every success answers an admitted request and every mega-op
+        is a unit carrying at least two of them:
+        ``2 * mega_ops <= batched_requests <= ok <= requests`` and
+        ``mega_ops <= batches``."""
+        return (2 * self.mega_ops <= self.batched_requests <= self.ok
+                <= self.requests and self.mega_ops <= self.batches)
+
+
+@dataclass
 class _Pending:
     """One admitted request parked on the queue."""
 
@@ -127,9 +183,9 @@ class ScanServer:
         ...                           # or: await server.serve_forever()
         await server.shutdown()       # drain, then stop
 
-    ``stats`` (a :class:`ServerStats`) carries this instance's exact SLO
-    numbers; the process-wide registry gets the same events under
-    ``serve.*``.
+    ``stats`` (a :class:`ServeLedger`) carries this instance's exact SLO
+    numbers and publishes each event into the process-wide registry
+    under ``serve.*``; ``metrics`` holds the registry-only instruments.
     """
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
@@ -141,8 +197,16 @@ class ScanServer:
             QuotaPolicy(budget=config.quota_budget,
                         refill_per_s=config.quota_refill_per_s),
             **({"clock": config.quota_clock} if config.quota_clock else {}))
-        self.metrics = ServeMetrics()
-        self.stats = ServerStats()
+        self.stats = ServeLedger()
+        #: instruments outside the ledger: the open connections and
+        #: pending requests, replies lost to clients that hung up, and
+        #: the magnitudes of batch sizes and per-request step charges
+        self.metrics = SimpleNamespace(
+            connections=registry.gauge("serve.connections"),
+            pending=registry.gauge("serve.pending"),
+            dropped_replies=registry.counter("serve.dropped_replies"),
+            batch_n=registry.histogram("serve.batch_n"),
+            request_steps=registry.histogram("serve.request_steps"))
 
         self._server: Optional[asyncio.base_events.Server] = None
         self._batcher_task: Optional[asyncio.Task] = None
@@ -297,8 +361,10 @@ class ScanServer:
             await self._send(writer, lock, info_frame(req_id, pong=True))
             return
         if op == "stats":
+            stats = self.stats.snapshot()
+            del stats["reconciles"]  # the reply keeps its 13 SLO keys
             await self._send(writer, lock, info_frame(
-                req_id, stats=self.stats.snapshot(),
+                req_id, stats=stats,
                 cache=self.cache.snapshot(),
                 quotas=self.quotas.snapshot(),
                 limits=self._limits()))
@@ -334,9 +400,8 @@ class ScanServer:
         }
 
     def _count_error(self, code: str) -> None:
-        self.stats.errors += 1
-        self.metrics.responses_error.inc()
-        self.metrics.error(code).inc()
+        self.stats.bump("errors")
+        registry.counter(f"serve.error.{code}").inc()
 
     async def _admit_and_wait(self, req: ParsedRequest) -> bytes:
         loop = asyncio.get_running_loop()
@@ -352,8 +417,7 @@ class ScanServer:
             self._count_error("quota_exhausted")
             return error_frame(req.id, "quota_exhausted", denial)
 
-        self.stats.requests += 1
-        self.metrics.requests.inc()
+        self.stats.bump("requests")
 
         # the digest hashes the whole payload: skip it when the cache is
         # off (its get/put ignore the key then)
@@ -363,13 +427,10 @@ class ScanServer:
         hit = self.cache.get(key)
         if hit is not None:
             # no machine ran: zero steps charged, zero steps debited
-            self.metrics.cache_hits.inc()
-            self.stats.ok += 1
-            self.metrics.responses_ok.inc()
-            self._record_latency(loop.time() - t0)
+            self.stats.bump("ok")
+            self.stats.observe("latency_us", (loop.time() - t0) * 1e6)
             return ok_frame(req.id, hit.values, steps=0, batched=1,
                             cached=True, packed=req.packed)
-        self.metrics.cache_misses.inc()
 
         if self._outstanding >= self.config.max_pending:
             self._count_error("overloaded")
@@ -388,12 +449,8 @@ class ScanServer:
         self._wake.set()
 
         frame = await entry.future
-        self._record_latency(loop.time() - t0)
+        self.stats.observe("latency_us", (loop.time() - t0) * 1e6)
         return frame
-
-    def _record_latency(self, seconds: float) -> None:
-        self.stats.record_latency(seconds)
-        self.metrics.latency_us.observe(seconds * 1e6)
 
     # ------------------------------------------------------------------ #
     # The batcher
@@ -468,8 +525,7 @@ class ScanServer:
                 return
             # degrade, cluster-style: the mega-op failed, so every member
             # re-runs solo and failures are classified one by one
-            self.stats.degraded += 1
-            self.metrics.degraded_batches.inc()
+            self.stats.bump("degraded_batches")
             for entry in entries:
                 try:
                     out, solo_steps = await loop.run_in_executor(
@@ -499,18 +555,20 @@ class ScanServer:
                            total_n if occupancy > 1 else len(parts[0][0]))
 
     def _record_batch(self, occupancy: int, steps: int, n: int) -> None:
-        self.stats.record_batch(occupancy, steps)
-        self.metrics.batches.inc()
-        self.metrics.batch_occupancy.observe(occupancy)
+        self.stats.bump("batches")
+        self.stats.bump("steps_total", int(steps))
+        self.stats.observe("batch_occupancy", occupancy)
         self.metrics.batch_n.observe(n)
+        if occupancy > 1:
+            self.stats.bump("mega_ops")
+            self.stats.bump("batched_requests", occupancy)
 
     def _finish_ok(self, entry: _Pending, result: np.ndarray, steps: int,
                    *, occupancy: int) -> None:
         self.quotas.debit(entry.req.tenant, steps)
         self.cache.put(entry.key, result, steps)
-        self.stats.ok += 1
-        self.metrics.responses_ok.inc()
-        self.metrics.steps_per_request.observe(steps)
+        self.stats.bump("ok")
+        self.metrics.request_steps.observe(steps)
         self._resolve(entry, ok_frame(entry.req.id, result, steps=steps,
                                       batched=occupancy, cached=False,
                                       packed=entry.req.packed))

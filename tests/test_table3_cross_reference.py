@@ -1,6 +1,6 @@
 """Table 3, as executable cross-reference: each example algorithm uses
 exactly the scan idioms the table attributes to it, observed through the
-tracer's charge profile."""
+span profiler's charge profile."""
 import numpy as np
 import pytest
 
@@ -13,14 +13,14 @@ from repro.algorithms import (
     split_radix_sort,
 )
 from repro.graph import random_connected_graph
-from repro.machine import trace
+from repro.observe import profile, span
 
 
 def _profile(run):
     m = Machine("scan", seed=0)
-    with trace(m) as t:
+    with profile(m) as p:
         run(m)
-    return t.by_kind(), m
+    return p.by_kind(), m
 
 
 class TestSplitRadixSort:
@@ -87,16 +87,15 @@ class TestHalvingMerge:
 
 class TestPhaseAttribution:
     def test_mst_phases(self, rng):
-        """The tracer attributes MST's steps to its stages sensibly."""
+        """The profiler attributes MST's steps to its stages sensibly."""
         edges, weights = random_connected_graph(rng, 64, 64)
         m = Machine("scan", seed=0)
         from repro.graph import from_edges
 
-        with trace(m) as t:
-            with t.phase("build"):
+        with profile(m):
+            with span("build") as build:
                 from_edges(m, 64, edges, weights=weights)
-            with t.phase("solve"):
+            with span("solve") as solve:
                 minimum_spanning_tree(m, 64, edges, weights)
-        by_phase = t.by_phase()
-        assert by_phase["build"] > 0
-        assert by_phase["solve"] > by_phase["build"]  # rounds dominate
+        assert build.steps > 0
+        assert solve.steps > build.steps  # rounds dominate

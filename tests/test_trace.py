@@ -1,183 +1,184 @@
-"""The step tracer / profiler."""
-import numpy as np
+"""Step tracing with the span profiler (``repro.observe.profile`` / ``span``).
+
+Each test pins one behaviour a phase-attributing tracer must keep: totals
+match the machine, the innermost span owns a charge, charges outside any
+span land on the root, hooks come off on exit and on exceptions.
+"""
 import pytest
 
 from repro import Machine
 from repro.algorithms import split_radix_sort
 from repro.core import scans
-from repro.machine import trace
+from repro.observe import profile, span
+
+
+def _steps_by_span(p) -> dict:
+    """Self steps per named span (re-entered names summed)."""
+    out: dict = {}
+    for s, _ in p.root.walk():
+        if s is not p.root and s.self_steps:
+            out[s.name] = out.get(s.name, 0) + s.self_steps
+    return out
+
+
+def _hooks(m) -> tuple:
+    return len(m.counter.listeners), len(m.backend.observers)
 
 
 class TestTrace:
     def test_totals_match_machine(self, rng):
         m = Machine("scan")
         data = rng.integers(0, 1000, 100)
-        with trace(m) as t:
+        with profile(m) as p:
             split_radix_sort(m.vector(data))
-        assert t.total_steps == m.steps
+        assert p.total_steps == m.steps
 
     def test_phases(self):
         m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("one"):
+        with profile(m) as p:
+            with span("one"):
                 scans.plus_scan(m.vector(range(8)))
-            with t.phase("two"):
+            with span("two"):
                 scans.plus_scan(m.vector(range(8)))
                 scans.plus_scan(m.vector(range(8)))
-        assert t.by_phase() == {"one": 1, "two": 2}
+        assert {s.name: s.steps for s in p.root.children} == {"one": 1,
+                                                               "two": 2}
 
     def test_nested_phases_innermost_wins(self):
         m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("outer"):
+        with profile(m) as p:
+            with span("outer") as outer:
                 scans.plus_scan(m.vector(range(4)))
-                with t.phase("inner"):
+                with span("inner") as inner:
                     scans.plus_scan(m.vector(range(4)))
-        assert t.by_phase() == {"outer": 1, "inner": 1}
+        assert (outer.self_steps, inner.self_steps) == (1, 1)
+        assert outer.steps == 2  # inclusive of the child
+        assert _steps_by_span(p) == {"outer": 1, "inner": 1}
 
     def test_untagged_charges(self):
+        """Charges made outside every span land on the root span."""
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             scans.plus_scan(m.vector(range(4)))
-        assert t.by_phase() == {"(untagged)": 1}
+        assert p.root.self_steps == 1 and not p.root.children
 
     def test_by_kind(self):
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             v = m.vector(range(8))
             _ = v + 1
             scans.plus_scan(v)
-        assert t.by_kind() == {"elementwise": 1, "scan": 1}
+        assert p.by_kind() == {"elementwise": 1, "scan": 1}
 
     def test_detaches_after_block(self):
         m = Machine("scan")
-        with trace(m) as t:
+        before = _hooks(m)
+        with profile(m) as p:
             scans.plus_scan(m.vector(range(4)))
-        scans.plus_scan(m.vector(range(4)))  # after the trace
-        assert t.total_steps == 1
+        scans.plus_scan(m.vector(range(4)))  # after the profile
+        assert p.total_steps == 1
         assert m.steps == 2
-        assert not m.counter.listeners
-
-    def test_report_mentions_phases_and_percentages(self):
-        m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("alpha"):
-                scans.plus_scan(m.vector(range(16)))
-        rep = t.report()
-        assert "alpha" in rep
-        assert "100.0%" in rep
-        assert "scan=1" in rep
+        assert _hooks(m) == before
 
     def test_two_traces_stack(self):
         m = Machine("scan")
-        with trace(m) as outer:
+        with profile(m) as outer:
             scans.plus_scan(m.vector(range(4)))
-            with trace(m) as inner:
+            with profile(m) as inner:
                 scans.plus_scan(m.vector(range(4)))
             assert inner.total_steps == 1
         assert outer.total_steps == 2
 
     def test_events_record_costs_on_erew(self):
         m = Machine("erew")
-        with trace(m) as t:
+        with profile(m) as p:
             scans.plus_scan(m.vector(range(256)))
-        assert t.events[0].cost == 16  # 2 lg 256
-        assert t.events[0].kind == "scan"
+        assert p.by_kind() == {"scan": 16}  # 2 lg 256
+        assert p.root.self_ops == 1
 
 
 class TestTraceEdgeCases:
-    """Lock-in tests for the legacy surface: the back-compat shim over
-    :mod:`repro.observe` must preserve every one of these behaviors."""
-
     def test_empty_report(self):
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             pass
-        assert t.events == []
-        assert t.total_steps == 0
-        assert t.by_kind() == {}
-        assert t.by_phase() == {}
-        assert t.phase_kind_matrix() == {}
-        rep = t.report()
-        assert "total: 0 steps in 0" in rep  # no ZeroDivisionError
+        assert p.total_steps == 0
+        assert p.by_kind() == {}
+        assert p.root.ops == 0 and not p.root.children
 
     def test_machine_reset_during_open_phase(self):
         # resetting the machine zeroes its counters but never rewrites
-        # history: events already recorded stay, the phase stays open,
+        # history: charges already recorded stay, the span stays open,
         # and later charges keep landing under it
         m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("work"):
+        with profile(m) as p:
+            with span("work") as work:
                 scans.plus_scan(m.vector(range(8)))
                 m.reset()
-                assert t.total_steps == 1
+                assert p.total_steps == 1
                 scans.plus_scan(m.vector(range(8)))
         assert m.steps == 1          # only the post-reset charge
-        assert t.total_steps == 2    # the trace saw both
-        assert t.by_phase() == {"work": 2}
+        assert p.total_steps == 2    # the profiler saw both
+        assert work.self_steps == 2
 
     def test_deeply_nested_phases_unwind_in_order(self):
         m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("a"):
-                with t.phase("b"):
-                    with t.phase("c"):
+        with profile(m) as p:
+            with span("a"):
+                with span("b"):
+                    with span("c"):
                         scans.plus_scan(m.vector(range(4)))
-                    assert t.current_phase == "b"
+                    assert p.current_span.name == "b"
                     scans.plus_scan(m.vector(range(4)))
-                assert t.current_phase == "a"
-            assert t.current_phase == "(untagged)"
-        assert t.by_phase() == {"c": 1, "b": 1}
+                assert p.current_span.name == "a"
+            assert p.current_span is p.root
+        assert _steps_by_span(p) == {"c": 1, "b": 1}
 
     def test_same_phase_name_reentered_accumulates(self):
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             for _ in range(3):
-                with t.phase("loop"):
+                with span("loop"):
                     scans.plus_scan(m.vector(range(4)))
-        assert t.by_phase() == {"loop": 3}
-        assert len(t.events) == 3
+        assert [s.name for s in p.root.children] == ["loop"] * 3
+        assert _steps_by_span(p) == {"loop": 3}
+        assert p.root.ops == 3
 
     def test_phase_exited_on_exception(self):
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             with pytest.raises(RuntimeError):
-                with t.phase("doomed"):
+                with span("doomed"):
                     raise RuntimeError("boom")
+            assert p.current_span is p.root
             scans.plus_scan(m.vector(range(4)))
-        assert t.by_phase() == {"(untagged)": 1}
+        assert p.root.self_steps == 1
+        assert _steps_by_span(p) == {}
 
     def test_trace_detaches_on_exception(self):
+        """Both hooks — the step listener and the backend observer —
+        come off when the profiled block raises."""
         m = Machine("scan")
+        before = _hooks(m)
         with pytest.raises(RuntimeError):
-            with trace(m):
+            with profile(m):
                 raise RuntimeError("boom")
-        assert not m.counter.listeners
+        assert _hooks(m) == before
 
     def test_zero_cost_charges_are_recorded_as_ops(self):
         m = Machine("scan")
-        with trace(m) as t:
+        with profile(m) as p:
             scans.plus_scan(m.vector([]))  # n = 0 charges 0 steps
-        assert t.total_steps == 0
-        assert len(t.events) == 1
-        assert t.events[0] == type(t.events[0])(kind="scan", cost=0,
-                                                phase="(untagged)")
+        assert p.total_steps == 0
+        assert p.root.self_ops == 1
+        assert p.root.self_by_kind == {"scan": 0}
 
     def test_phase_kind_matrix_shape(self):
+        """A span's own primitive mix, kind by kind."""
         m = Machine("scan")
-        with trace(m) as t:
-            with t.phase("p"):
+        with profile(m):
+            with span("p") as s:
                 v = m.vector(range(8))
                 _ = v + 1
                 scans.plus_scan(v)
-        assert t.phase_kind_matrix() == {"p": {"elementwise": 1, "scan": 1}}
-
-    def test_report_orders_phases_by_steps_descending(self):
-        m = Machine("erew")
-        with trace(m) as t:
-            with t.phase("cheap"):
-                scans.plus_scan(m.vector(range(4)))
-            with t.phase("dear"):
-                scans.plus_scan(m.vector(range(256)))
-        rep = t.report()
-        assert rep.index("dear") < rep.index("cheap")
+        assert s.by_kind() == {"elementwise": 1, "scan": 1}
