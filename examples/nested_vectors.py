@@ -17,6 +17,21 @@ from repro.core import SegmentedVector
 from repro.observe import profile, span
 
 
+def pipeline(legs: SegmentedVector):
+    """The per-route pipeline, one profiler span per phase."""
+    with span("odometer"):
+        # distance covered before each leg: a segmented +-scan
+        odom = legs.plus_scan()
+    with span("totals"):
+        totals = legs.sums()
+        longest_leg = legs.maxima()
+    with span("prune"):
+        # drop all legs shorter than 10 km, keep the route structure
+        keep = legs.values >= 10
+        long_legs = legs.pack(keep)
+    return odom, totals, longest_leg, long_legs
+
+
 def main() -> None:
     m = Machine("scan", seed=0)
     rng = np.random.default_rng(4)
@@ -30,16 +45,7 @@ def main() -> None:
         print(f"  route {i}: {r}")
 
     with profile(m) as p:
-        with span("odometer"):
-            # distance covered before each leg: a segmented +-scan
-            odom = legs.plus_scan()
-        with span("totals"):
-            totals = legs.sums()
-            longest_leg = legs.maxima()
-        with span("prune"):
-            # drop all legs shorter than 10 km, keep the route structure
-            keep = legs.values >= 10
-            long_legs = legs.pack(keep)
+        odom, totals, longest_leg, long_legs = pipeline(legs)
 
     print("\nkm before each leg:", odom.to_nested())
     print("route totals:      ", totals.to_list())
@@ -58,11 +64,11 @@ def main() -> None:
         m2.vector(rng.integers(3, 40, 30_000)),
         np.full(6000, 5))
     with profile(m2) as p2:
-        big.plus_scan()
-        big.sums()
-        big.pack(big.values >= 10)
+        pipeline(big)
     print(f"\nsame pipeline on 6000 routes / 30000 legs: {p2.total_steps} "
           f"steps (vs {p.total_steps} for the toy — independent of size)")
+    if p2.total_steps != p.total_steps:
+        raise SystemExit("the pipeline's step count depends on its size")
 
 
 if __name__ == "__main__":

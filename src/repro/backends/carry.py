@@ -14,34 +14,53 @@ every rank's work from:
 * ``apply(out, flags, carry)`` — fold the carry entering a chunk into
   that chunk's ``local`` result, in place.
 
-The blocked engine's chunk loop, native's fallback (which *is* that
-loop), the distributed workers' two phases and the supervisor's carry
-exchange all look a monoid up by op name (:func:`monoid`), so the carry
-math and its conventions live here once.  Segmented carries are
+The numpy engine's segmented scans (one chunk), the blocked engine's
+chunk loop, native's fallback (which *is* that loop), the distributed
+workers' two phases and the supervisor's carry exchange all look a
+monoid or kernel up here (:func:`monoid`), so the carry math and its
+conventions live here once.  Segmented carries are
 ``(value, has_head)`` pairs: a head anywhere in a chunk resets the open
 segment, and ``apply`` only touches the chunk's leading run (the
 elements before its first head).
 
 :func:`seg_extreme_scan` is the segmented max/min chunk kernel, in O(n)
-work with no sort: the vector is viewed as rows, each row is scanned by
-segmented Hillis–Steele doubling (``lg`` of the row width passes, each
-kept inside its row by the elements' in-row distance to their last
+work with no sort, and it has two branches chosen by one correctness
+test.  When Figure 16's appended keys fit in 62 bits
+(:func:`appended_keys`: integers, ``bits(hi - lo) + bits(#segments)``
+within budget) it *is* Figure 16: the segment number shifted above the
+value field, one unsegmented ``np.maximum.accumulate``, the field read
+back.  Every other input (floats, bools, int64/uint64 extremes) takes
+:func:`doubling_scan`: the vector is viewed as rows, each row is scanned
+by segmented Hillis–Steele doubling (``lg`` of the row width passes,
+each kept inside its row by the elements' in-row distance to their last
 head), the per-row ``(tail extreme, has_head)`` carries are scanned by
 recursing on the row tails, and each incoming carry is folded into its
-row's leading run — LightScan's two-level shape.  Its ordering
+row's leading run — LightScan's two-level shape.  The ordering
 convention is :func:`extreme_combine`: ``np.maximum`` for max (NaN
 propagates) and ``np.fmin`` for min (NaN loses to any real value).  See
 ``docs/verification.md``.
+
+The segmented ``+`` chunk kernel is one running sum that restarts at
+every head: the element entering each head also takes away the sum of
+the segment it closes (``np.add.reduceat``), so one in-place
+``np.add.accumulate`` needs no segment ids, no gather and no temporary
+the size of the chunk.  The ``plus``, ``max`` and segmented ``plus``
+carries out of a chunk are read in O(1) off ``out[-1]`` and
+``values[-1]``, so no chunk makes a second pass for its carry.
+:func:`monoid` caches the monoids, which hold no state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Monoid", "block_carries", "extreme_carry_out", "extreme_combine",
-           "monoid", "seg_extreme_scan"]
+__all__ = ["Monoid", "appended_keys", "block_carries", "doubling_scan",
+           "extreme_carry_out", "extreme_combine", "monoid",
+           "seg_extreme_scan"]
 
 #: a vector up to this long is scanned as a single row
 _ONE_ROW_MAX = 1024
@@ -101,22 +120,96 @@ def _shifted_inclusive(values: np.ndarray, flags: np.ndarray,
     return buf
 
 
-def seg_extreme_scan(values: np.ndarray, flags: np.ndarray, identity, *,
-                     is_max: bool) -> np.ndarray:
-    """Exclusive per-segment running max (or min) in O(n) work.
+#: the appended key's budget: segment number and value field together
+#: stay below ``2**62``, so no intermediate of the key build wraps
+_KEY_BITS = 62
 
-    Heads receive ``identity``, which is never combined into real values
-    (``seg_or_scan`` relies on that with its non-neutral ``identity=0``).
-    Position 0 starts a segment whether or not it is flagged.
-    """
-    n = len(values)
-    if n == 0:
-        return values.copy()
-    out = _shifted_inclusive(values, flags, extreme_combine(is_max))[:n]
-    ident = np.asarray(identity, dtype=values.dtype)
+
+def appended_keys(values: np.ndarray, flags: np.ndarray, *, is_max: bool,
+                  out: np.ndarray = None):
+    """Figure 16's appended keys, or ``None`` when they would not fit.
+
+    Each key is ``(segment number << bits) + field``: the field is
+    ``v - lo`` for max, ``hi - v`` for min, so ``bits = bits(hi - lo)``
+    holds it, and one *unsegmented* max-scan of the keys is the
+    segmented extreme scan — a later segment's keys exceed every earlier
+    one's.  The leading run (before the first head) is segment 0.
+    Returns ``(keys, bits, base)``: int64 keys (in ``out`` when given)
+    and the ``lo`` / ``hi`` the field is read back against.  Declines
+    floats, bools, values outside ``(-2**62, 2**62)`` (int64 and uint64
+    extremes among them) and any vector whose ``bits(hi - lo) +
+    bits(#segments)`` exceeds the 62-bit budget."""
+    if values.dtype.kind not in "iu":
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    bits = (hi - lo).bit_length()
+    segments = int(np.count_nonzero(flags))
+    if (lo <= -(1 << _KEY_BITS) or hi >= 1 << _KEY_BITS
+            or bits + segments.bit_length() > _KEY_BITS):
+        return None
+    # the segment numbers, shifted, with the field's constant folded into
+    # the first element: one multiply and one running sum
+    keys = np.multiply(flags, 1 << bits, dtype=np.int64, out=out)
+    keys[0] += -lo if is_max else hi
+    np.add.accumulate(keys, out=keys)
+    # every value is below 2**62 here, so a uint64 view is exact
+    v = values.view(np.int64) if values.dtype == np.uint64 else values
+    (np.add if is_max else np.subtract)(keys, v, out=keys)
+    return keys, bits, (lo if is_max else hi)
+
+
+def doubling_scan(values: np.ndarray, flags: np.ndarray, identity, *,
+                  is_max: bool) -> np.ndarray:
+    """The segmented extreme by Hillis–Steele doubling (no key bits): the
+    kernel for every input :func:`appended_keys` declines."""
+    out = _shifted_inclusive(values, flags, extreme_combine(is_max))
+    return _fill_heads(out[:len(values)], flags, identity)
+
+
+def _fill_heads(out: np.ndarray, flags: np.ndarray, identity) -> np.ndarray:
+    """Heads, and position 0 whether flagged or not, take ``identity``."""
+    ident = np.asarray(identity, dtype=out.dtype)
     out[0] = ident
     np.copyto(out, ident, where=flags.astype(bool, copy=False))
     return out
+
+
+def seg_extreme_scan(values: np.ndarray, flags: np.ndarray, identity, *,
+                     is_max: bool, out: np.ndarray = None) -> np.ndarray:
+    """Exclusive per-segment running max (or min) in O(n) work, into
+    ``out`` when given.
+
+    Integers whose appended keys fit (:func:`appended_keys`) take
+    Figure 16's single max-scan; every other input takes
+    :func:`doubling_scan`.  Heads receive ``identity``, which is never
+    combined into real values (``seg_or_scan`` relies on that with its
+    non-neutral ``identity=0``).  Position 0 starts a segment whether or
+    not it is flagged.
+    """
+    if len(values) == 0:
+        return values.copy() if out is None else out
+    # an int64 result buffer holds the keys: no key-sized temporary
+    keyed = appended_keys(values, flags, is_max=is_max,
+                          out=out if out is not None
+                          and out.dtype == np.int64 else None)
+    if keyed is None:
+        scanned = doubling_scan(values, flags, identity, is_max=is_max)
+        if out is None:
+            return scanned
+        out[:] = scanned
+        return out
+    keys, bits, base = keyed
+    np.maximum.accumulate(keys, out=keys)
+    # the field read back: the inclusive segmented extreme
+    np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    if is_max:
+        np.add(keys, base, out=keys)
+    else:
+        np.subtract(base, keys, out=keys)
+    if out is None:
+        out = keys if keys.dtype == values.dtype else np.empty_like(values)
+    out[1:] = keys[:-1]  # a memmove when ``out`` is ``keys``
+    return _fill_heads(out, flags, identity)
 
 
 def extreme_carry_out(values: np.ndarray, flags: np.ndarray,
@@ -157,15 +250,6 @@ class Monoid:
     segmented: bool = False
 
 
-def _wrapping(fn):
-    """``fn`` with integer overflow silenced: carries wrap modulo
-    ``2**width`` by design."""
-    def run(*args):
-        with np.errstate(over="ignore"):
-            return fn(*args)
-    return run
-
-
 def _leading_run(flags: np.ndarray) -> int:
     """Elements before the first head (all of them if there is none):
     ``argmax`` stops at the first head, unlike ``flatnonzero``."""
@@ -177,10 +261,15 @@ def _plus(dtype) -> Monoid:
 
     def local(values, flags=None, out=None):
         out = np.empty_like(values) if out is None else out
-        if len(values):
-            out[0] = zero
-            np.cumsum(values[:-1], out=out[1:])
-        return out, values.sum(dtype=dtype)
+        if not len(values):
+            return out, zero
+        out[0] = zero
+        # ufunc.accumulate runs in the lane dtype: narrow ints wrap alike,
+        # with no int64 temporary (and without np.cumsum's call overhead)
+        np.add.accumulate(values[:-1], out=out[1:])
+        # the chunk total, read off the scan; integer ufuncs wrap modulo
+        # 2**width silently, where the scalar ``+`` would warn
+        return out, np.add(out[-1], values[-1])
 
     def apply(out, flags, carry):
         out += carry
@@ -189,8 +278,7 @@ def _plus(dtype) -> Monoid:
         return np.add(np.asarray(a, dtype=dtype),
                       np.asarray(b, dtype=dtype))[()]
 
-    return Monoid(zero, _wrapping(combine), _wrapping(local),
-                  _wrapping(apply))
+    return Monoid(zero, combine, local, apply)
 
 
 def _max(dtype, identity) -> Monoid:
@@ -210,7 +298,7 @@ def _max(dtype, identity) -> Monoid:
             np.maximum(out[1:], ident, out=out[1:])
         # np.maximum, not Python max: the carry must propagate NaN exactly
         # as the within-chunk np.maximum.accumulate does
-        return out, np.maximum(ident, values.max())
+        return out, np.maximum(out[-1], values[-1])
 
     def apply(out, flags, carry):
         np.maximum(out, carry, out=out)
@@ -223,17 +311,24 @@ def _seg_plus(dtype) -> Monoid:
 
     def local(values, flags, out=None):
         out = np.empty_like(values) if out is None else out
-        ex, total = plus.local(values)
+        if not len(values):
+            return out, plus.identity
+        # the exclusive sum is the running sum of the values shifted one
+        # place right; each head past 0 closes the segment before it (the
+        # leading run, for the first), and its incoming element also takes
+        # that segment's sum away, so one running sum restarts at every head
+        out[0] = plus.identity
+        out[1:] = values[:-1]
         heads = np.flatnonzero(flags)
-        # what each local segment subtracts from the chunk-local exclusive
-        # sums: nothing on the leading run, its head's sum on the others
-        offsets = np.empty(len(heads) + 1, dtype=dtype)
-        offsets[0] = 0
-        offsets[1:] = ex[heads]
-        np.subtract(ex, offsets[np.cumsum(flags)], out=out)
-        if len(heads):
-            return out, (values[heads[-1]:].sum(dtype=dtype), True)
-        return out, (total, False)
+        restarts = heads[1:] if len(heads) and heads[0] == 0 else heads
+        if len(restarts):
+            out[restarts] -= np.add.reduceat(
+                values[:restarts[-1]],
+                np.concatenate(([0], restarts[:-1])), dtype=dtype)
+        np.add.accumulate(out, out=out)
+        # a float restart leaves a rounding residue: heads are exact
+        out[restarts] = plus.identity
+        return out, (np.add(out[-1], values[-1]), len(heads) > 0)
 
     def apply(out, flags, carry):
         out[:_leading_run(flags)] += carry[0]
@@ -241,8 +336,8 @@ def _seg_plus(dtype) -> Monoid:
     def combine(a, b):  # a precedes b
         return b if b[1] else (plus.combine(a[0], b[0]), a[1])
 
-    return Monoid((plus.identity, False), combine, _wrapping(local),
-                  _wrapping(apply), segmented=True)
+    return Monoid((plus.identity, False), combine, local, apply,
+                  segmented=True)
 
 
 def _seg_extreme(dtype, identity, is_max: bool) -> Monoid:
@@ -250,15 +345,11 @@ def _seg_extreme(dtype, identity, is_max: bool) -> Monoid:
     ident = np.asarray(identity, dtype=dtype)[()]
 
     def local(values, flags, out=None):
+        out = seg_extreme_scan(values, flags, ident, is_max=is_max, out=out)
         if not len(values):
-            return (values.copy() if out is None else out), (None, False)
-        scanned = seg_extreme_scan(values, flags, ident, is_max=is_max)
-        if out is None:
-            out = scanned
-        else:
-            out[:] = scanned
-        return out, (extreme_carry_out(values, flags, scanned,
-                                       is_max=is_max), bool(flags.any()))
+            return out, (None, False)
+        return out, (extreme_carry_out(values, flags, out, is_max=is_max),
+                     bool(flags.any()))
 
     def apply(out, flags, carry):
         value = carry[0]
@@ -278,12 +369,8 @@ def _seg_extreme(dtype, identity, is_max: bool) -> Monoid:
     return Monoid((None, False), combine, local, apply, segmented=True)
 
 
-def monoid(op: str, dtype, identity=None, is_max: bool = False) -> Monoid:
-    """The carry monoid of scan ``op`` over ``dtype``: ``"plus_scan"``,
-    ``"max_scan"`` (clamped to ``identity``), ``"seg_plus"`` or
-    ``"seg_extreme"`` (heads filled with ``identity``; max or min by
-    ``is_max``)."""
-    dtype = np.dtype(dtype)
+@lru_cache(maxsize=256)
+def _build(op: str, dtype, identity, is_max: bool, _negative_zero: bool):
     if op == "plus_scan":
         return _plus(dtype)
     if op == "max_scan":
@@ -293,3 +380,19 @@ def monoid(op: str, dtype, identity=None, is_max: bool = False) -> Monoid:
     if op == "seg_extreme":
         return _seg_extreme(dtype, identity, is_max)
     raise ValueError(f"unknown carry op {op!r}")
+
+
+def monoid(op: str, dtype, identity=None, is_max: bool = False) -> Monoid:
+    """The carry monoid of scan ``op`` over ``dtype``: ``"plus_scan"``,
+    ``"max_scan"`` (clamped to ``identity``), ``"seg_plus"`` or
+    ``"seg_extreme"`` (heads filled with ``identity``; max or min by
+    ``is_max``).  Monoids are stateless and cached, so a short vector
+    pays no build cost per call."""
+    # -0.0 == 0.0 hash alike, yet fill heads with different bits
+    negative_zero = (identity is not None and identity == 0
+                     and math.copysign(1.0, identity) < 0)
+    try:
+        return _build(op, np.dtype(dtype), identity, is_max, negative_zero)
+    except TypeError:  # an unhashable identity (a 0-d array) is not cached
+        return _build.__wrapped__(op, np.dtype(dtype), identity, is_max,
+                                  negative_zero)

@@ -1,8 +1,11 @@
 """The default backend: one vectorized NumPy expression per primitive.
 
 This is the execution substrate the repository has always used, factored
-out of :mod:`repro.core` verbatim — results and (since backends charge
-nothing) step counts are bit-identical to the pre-backend code.
+out of :mod:`repro.core` — step counts are bit-identical to the
+pre-backend code, since backends charge nothing.  The four carry-bearing
+scans are the one-chunk case of the carry monoids
+(:mod:`repro.backends.carry`) that the chunked engines sweep, so one
+kernel per scan serves every engine.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .base import Backend
-from .carry import seg_extreme_scan as _seg_extreme_scan
+from .carry import monoid, seg_extreme_scan
 
 __all__ = ["NumPyBackend"]
 
@@ -19,23 +22,6 @@ __all__ = ["NumPyBackend"]
 def _seg_ids(sf: np.ndarray) -> np.ndarray:
     """0-based segment number of each element (inclusive +-scan of flags, -1)."""
     return np.cumsum(sf) - 1
-
-
-def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums **in the input's dtype** (narrow ints wrap).
-
-    ``np.concatenate(([0], cumsum))`` would be wrong here: ``np.cumsum``
-    promotes unsigned inputs to uint64, concatenating that with the int64
-    ``[0]`` promotes everything to float64, and a float -> unsigned cast of
-    an out-of-range value is undefined behavior (it yields 0 on x86).
-    Building the array in the cumsum's own dtype keeps every cast
-    integer-to-integer, which wraps modulo ``2**width`` as documented.
-    """
-    cs = np.cumsum(values)
-    ex = np.empty(len(values), dtype=cs.dtype)
-    ex[0] = 0
-    ex[1:] = cs[:-1]
-    return ex.astype(values.dtype, copy=False)
 
 
 _REDUCERS = {"sum": np.sum, "max": np.max, "min": np.min,
@@ -53,9 +39,12 @@ class NumPyBackend(Backend):
     def temp_bytes(self, op: str, out_bytes: int) -> int:
         """Whole-vector temporaries: every NumPy expression materializes
         intermediates the size of the result (the base estimate).  The
-        segmented extreme scan's doubling passes hold one lane-sized copy
-        plus two ``int16`` distance rows and a ``bool`` mask — measured
-        at 1.6x the result on 8-byte lanes."""
+        segmented extreme scan reports its doubling fallback (floats,
+        64-bit extremes): one lane-sized copy plus two ``int16`` distance
+        rows and a ``bool`` mask, measured at 1.65x the result on 8-byte
+        lanes.  Its keyed branch builds Figure 16's keys in an int64
+        result itself (measured under 1%), and in one int64 key per
+        element on narrower integer lanes (2x an int32 result)."""
         if op == "seg_extreme_scan":
             return 13 * out_bytes // 8
         return super().temp_bytes(op, out_bytes)
@@ -75,19 +64,10 @@ class NumPyBackend(Backend):
     # ----------------------------- scans ------------------------------ #
 
     def plus_scan(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        if len(values):
-            out[0] = 0
-            np.cumsum(values[:-1], out=out[1:])
-        return out
+        return monoid("plus_scan", values.dtype).local(values)[0]
 
     def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
-        out = np.empty_like(values)
-        if len(values):
-            out[0] = identity
-            np.maximum.accumulate(values[:-1], out=out[1:])
-            np.maximum(out[1:], identity, out=out[1:])
-        return out
+        return monoid("max_scan", values.dtype, identity).local(values)[0]
 
     # ------------------------- communication -------------------------- #
 
@@ -165,16 +145,11 @@ class NumPyBackend(Backend):
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        ex = _exclusive_cumsum(values)
-        s = _seg_ids(seg_flags)
-        head_offsets = ex[np.flatnonzero(seg_flags)]
-        return ex - head_offsets[s]
+        return monoid("seg_plus", values.dtype).local(values, seg_flags)[0]
 
     def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
                          identity, *, is_max: bool) -> np.ndarray:
-        return _seg_extreme_scan(values, seg_flags, identity, is_max=is_max)
+        return seg_extreme_scan(values, seg_flags, identity, is_max=is_max)
 
     def seg_copy(self, values: np.ndarray,
                  seg_flags: np.ndarray) -> np.ndarray:

@@ -216,6 +216,10 @@ def _sample_values(rng: np.random.Generator, dtype: str, n: int,
         return tuple(bool(b) for b in rng.integers(0, 2, n))
     if np.issubdtype(dt, np.integer):
         pool = _int_pool(dt)
+        if rng.random() < 0.25:
+            # moderate magnitudes only: the 64-bit segmented extremes then
+            # take Figure 16's appended keys, not the doubling fallback
+            pool = [p for p in pool if abs(p) <= 1 << 30]
     else:
         pool = _float_pool(nan_ok, additive)
     if rng.random() < 0.12:                      # all-equal vector

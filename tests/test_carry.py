@@ -6,16 +6,22 @@ scans through :func:`seg_extreme_scan`, so this suite holds it to the
 serial :class:`ReferenceBackend` loop directly: every fuzzer dtype, float
 specials, flag densities from one giant segment to all heads, lengths on
 both sides of the row width and of the single-row limit, and non-neutral
-identities.  The four carry monoids the chunk loops share are held to
-numpy's whole-vector scans over a vector cut at random points.
+identities.  Both of its branches — Figure 16's appended keys and the
+doubling kernel they fall back to — are held to the loop, with keys at
+the 62-bit budget and one bit over it.  The four carry monoids the chunk
+loops share are held to numpy's whole-vector scans over a vector cut at
+random points, and their O(1) carry-outs to the full-pass sums.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import NumPyBackend, ReferenceBackend
-from repro.backends.carry import (extreme_carry_out, extreme_combine,
+from repro.backends.carry import (appended_keys, doubling_scan,
+                                  extreme_carry_out, extreme_combine,
                                   monoid, seg_extreme_scan)
 from repro.verify.opset import DTYPES_FULL
 
@@ -101,6 +107,9 @@ def test_matches_the_serial_reference(case):
     want = _REF.seg_extreme_scan(values, flags, ident,
                                  is_max=case["is_max"])
     assert _same(got, want)
+    # the fallback alone, on the integers the keyed branch now takes too
+    assert _same(doubling_scan(values, flags, ident,
+                               is_max=case["is_max"]), want)
     assert _same(values, before)  # the input is never written
 
 
@@ -220,7 +229,8 @@ def test_nan_ordering_convention():
 def test_every_segment_length_reaches_its_head(n, is_max):
     """Each head holds its segment's extreme, so an element whose window
     stops one short of the head is wrong: this pins the number of
-    doubling passes for every run length 1..64 (and longer)."""
+    doubling passes for every run length 1..64 (and longer), and the
+    keyed branch gives the same answer."""
     rng = np.random.default_rng(3)
     lengths = np.resize(np.arange(1, 131), n)
     rng.shuffle(lengths)
@@ -234,8 +244,10 @@ def test_every_segment_length_reaches_its_head(n, is_max):
     values = (1000 - offset) if is_max else offset
     want = values[starts][head_of]
     want[flags] = -1
-    got = seg_extreme_scan(values, flags, -1, is_max=is_max)
+    got = doubling_scan(values, flags, -1, is_max=is_max)
     assert got.tolist() == want.tolist()
+    assert seg_extreme_scan(values, flags, -1,
+                            is_max=is_max).tolist() == want.tolist()
 
 
 def test_carry_out_of_a_lone_unheaded_element():
@@ -276,3 +288,213 @@ def test_two_levels_of_row_carries(density, is_max):
         want[s + 1:e] = acc(values[s:e - 1])
     got = seg_extreme_scan(values, flags, 5.0, is_max=is_max)
     assert _same(got, want)
+
+
+# --------------------------------------------------------------------- #
+# The two seg-extreme branches
+# --------------------------------------------------------------------- #
+
+I64 = np.iinfo(np.int64)
+
+
+def _check_branch(values, flags, ident, is_max, *, keyed: bool):
+    """``values`` take the branch named by ``keyed`` and agree with the
+    serial loop (the doubling kernel too, whichever branch is taken)."""
+    took = appended_keys(values, flags, is_max=is_max) is not None
+    assert took == keyed
+    want = _REF.seg_extreme_scan(values, flags, ident, is_max=is_max)
+    assert _same(seg_extreme_scan(values, flags, ident, is_max=is_max),
+                 want)
+    assert _same(doubling_scan(values, flags, ident, is_max=is_max), want)
+    # and as a chunk loop, continued across a cut
+    algebra = monoid("seg_extreme", values.dtype, ident, is_max=is_max)
+    cut = len(values) // 2
+    got, _ = _run_pieces(algebra, values, flags, [cut] if cut else [])
+    assert _same(got, want)
+
+
+branch_cases = st.fixed_dictionaries({
+    "n": st.integers(1, 200),
+    "density": st.sampled_from(DENSITIES),
+    "is_max": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=branch_cases, dtype=st.sampled_from(INT_DTYPES),
+       span=st.integers(0, 40))
+def test_keyed_branch_where_the_keys_fit(case, dtype, span):
+    """Integers of a modest range: every dtype, signed and unsigned,
+    offset anywhere inside the dtype (narrow ones up to their edges)."""
+    rng = np.random.default_rng(case["seed"])
+    info = np.iinfo(dtype)
+    lo_max = max(info.min, min(info.max, (1 << 61))
+                 - ((1 << span) - 1))
+    lo = int(rng.integers(max(info.min, -(1 << 61)), lo_max,
+                          endpoint=True))
+    hi = min(info.max, lo + (1 << span) - 1)
+    values = rng.integers(lo, hi, case["n"], dtype=dtype, endpoint=True)
+    flags = _flags(rng, case["n"], case["density"])
+    ident = _identity(dtype, case["is_max"], neutral=bool(span % 2))
+    _check_branch(values, flags, ident, case["is_max"], keyed=True)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("segments", [1, 2, 3, 7, 1000])
+def test_keys_at_the_62_bit_budget_and_one_bit_over(is_max, segments):
+    """``bits(hi - lo) + bits(#segments) == 62`` takes the keys; one bit
+    more of range falls back.  Both answer as the serial loop does."""
+    seg_bits = segments.bit_length()
+    n = 2 * segments + 1
+    flags = np.zeros(n, dtype=bool)
+    flags[::2] = True
+    flags[-1] = False
+    rng = np.random.default_rng(segments)
+    for range_bits, keyed in ((62 - seg_bits, True),
+                              (63 - seg_bits, False)):
+        for lo in (-(1 << 61), 0, -(1 << (range_bits - 1))):
+            hi = lo + (1 << range_bits) - 1  # bits(hi - lo) == range_bits
+            if lo <= -(1 << 62) or hi >= 1 << 62:
+                continue
+            values = rng.integers(lo, hi, n, dtype=np.int64, endpoint=True)
+            values[:2] = (lo, hi)
+            _check_branch(values, flags, I64.min if is_max else I64.max,
+                          is_max, keyed=keyed)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+def test_keys_never_wrap_near_the_value_bound(is_max):
+    """Values just inside ``(-2**62, 2**62)`` take the keys; one step
+    outside, the doubling kernel."""
+    flags = np.array([True, False, False, True, False])
+    edge = (1 << 62) - 1
+    for values, keyed in (([edge] * 4 + [edge - 3], True),
+                          ([-edge] * 4 + [-edge + 3], True),
+                          ([edge + 1] * 5, False),
+                          ([-edge - 1] * 5, False)):
+        _check_branch(np.array(values, dtype=np.int64), flags, 0, is_max,
+                      keyed=keyed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=branch_cases, dtype=st.sampled_from(["int64", "uint64"]))
+def test_doubling_branch_at_the_64_bit_extremes(case, dtype):
+    """int64 ``iinfo.min`` / ``iinfo.max`` and uint64 values >= 2**63
+    never build keys, and still agree with the serial loop."""
+    rng = np.random.default_rng(case["seed"])
+    info = np.iinfo(dtype)
+    values = rng.integers(info.min, info.max, case["n"], dtype=dtype,
+                          endpoint=True)
+    values[0] = info.max if dtype == "uint64" else info.min
+    flags = _flags(rng, case["n"], case["density"])
+    ident = _identity(dtype, case["is_max"], neutral=True)
+    _check_branch(values, flags, ident, case["is_max"], keyed=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=branch_cases, dtype=st.sampled_from(["float32", "float64"]))
+def test_doubling_branch_on_floats_with_nan(case, dtype):
+    rng = np.random.default_rng(case["seed"])
+    values = _values(rng, dtype, case["n"])
+    values[rng.random(case["n"]) < 0.2] = np.nan
+    flags = _flags(rng, case["n"], case["density"])
+    ident = _identity(dtype, case["is_max"], neutral=True)
+    _check_branch(values, flags, ident, case["is_max"], keyed=False)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("dtype", ["int64", "uint64"])
+def test_dtype_boundary_grid_takes_the_fallback(dtype, is_max):
+    """The 64-bit rows of ``test_dtype_boundaries`` (``iinfo.min`` next
+    to ``iinfo.max``) are declined by the key builder in every layout
+    that grid runs; the narrow rows fit."""
+    info = np.iinfo(dtype)
+    vals = [info.min, info.min + 1, 0, 1, info.max - 1, info.max]
+    if info.min < 0:
+        vals.append(-1)
+    values = np.array(vals, dtype=dtype)
+    n = len(values)
+    for lengths in ((n,), (1,) * n, (n - 1, 1)):
+        flags = np.zeros(n, dtype=bool)
+        flags[np.cumsum((0,) + lengths[:-1])] = True
+        assert appended_keys(values, flags, is_max=is_max) is None
+    for narrow in ("int8", "int16", "uint32"):
+        info = np.iinfo(narrow)
+        values = np.array([info.min, 0, info.max], dtype=narrow)
+        assert appended_keys(values, np.ones(3, dtype=bool),
+                             is_max=is_max) is not None
+
+
+# --------------------------------------------------------------------- #
+# O(1) carry-outs
+# --------------------------------------------------------------------- #
+
+def _full_pass_carry(op, values, flags, ident):
+    """The carry-out as a second pass over the chunk computes it."""
+    dt = values.dtype
+    if op == "plus_scan":
+        return values.sum(dtype=dt)
+    if op == "max_scan":
+        return np.maximum(ident, values.max())
+    heads = np.flatnonzero(flags)
+    if len(heads):
+        return (values[heads[-1]:].sum(dtype=dt), True)
+    return (values.sum(dtype=dt), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(op=st.sampled_from(["plus_scan", "max_scan", "seg_plus"]),
+       dtype=st.sampled_from(["int8", "uint8", "float32", "float64"]),
+       n=st.integers(1, 300), density=st.sampled_from(DENSITIES),
+       seed=st.integers(0, 2**32 - 1))
+def test_o1_carry_outs_equal_the_full_pass(op, dtype, n, density, seed):
+    """``out[-1]`` combined with ``values[-1]`` is the chunk's carry:
+    wrapping on narrow ints, NaN-propagating on float max, and silent.
+    Float sums use small integers, whose sums are exact in any order."""
+    rng = np.random.default_rng(seed)
+    dt = np.dtype(dtype)
+    if dt.kind == "f" and op != "max_scan":
+        values = rng.integers(-64, 64, n).astype(dt)
+    else:
+        values = _values(rng, dtype, n)
+    flags = _flags(rng, n, density)
+    flags[0] = bool(rng.random() < 0.5)  # a chunk may open mid-segment
+    ident = _identity(dtype, True, neutral=True)
+    algebra = monoid(op, dt, ident)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, carry = algebra.local(values, flags)
+        with np.errstate(over="ignore"):
+            want = _full_pass_carry(op, values, flags,
+                                    np.asarray(ident, dtype=dt)[()])
+    assert _same_carry(carry, want)
+
+
+def test_monoids_are_cached_per_signature():
+    assert monoid("seg_extreme", "int32", 0, True) is monoid(
+        "seg_extreme", np.int32, 0, True)
+    assert monoid("max_scan", "float64", 0.0) is not monoid(
+        "max_scan", "float64", -0.0)
+    assert monoid("max_scan", "int8", np.array(3)).identity == 3
+
+
+def test_float_seg_plus_heads_are_exact_and_sums_close():
+    """One running sum restarts at every head: on floats the restart's
+    rounding residue never shows at a head, and the sums stay within
+    the additive tolerance of the serial loop."""
+    rng = np.random.default_rng(11)
+    n = 5000
+    values = rng.normal(scale=1e3, size=n)
+    flags = _flags(rng, n, 1 / 16)
+    got = _NP.seg_plus_scan(values, flags)
+    assert (got[flags] == 0.0).all() and not np.signbit(got[flags]).any()
+    want = _REF.seg_plus_scan(values, flags)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+    # the element holding an infinity still sees the finite sum before
+    # it (later segments see inf - inf: the construction's known leak)
+    values[7] = np.inf
+    flags[:20] = [True] + [False] * 19
+    with np.errstate(invalid="ignore"):
+        got = _NP.seg_plus_scan(values, flags)
+    assert np.isclose(got[7], values[:7].sum()) and got[8] == np.inf
