@@ -196,7 +196,7 @@ def _probe_neighbors(machine: Machine, p: np.ndarray, ids: np.ndarray,
     for j in range(1, probes + 1):
         if j >= k:
             break
-        machine.counter.charge("gather", machine._block(k))
+        machine.charge_block("gather", k)
         machine.charge_elementwise(k)
         tgt = np.arange(k) + j
         valid = (tgt < k)

@@ -64,7 +64,7 @@ def rootfix(machine: Machine, parent: np.ndarray) -> np.ndarray:
     machine.charge_elementwise(ns)
     last_in_seg = idx - head_pos + 1 == seg_len
     nxt_in_seg = np.where(last_in_seg, head_pos, idx + 1)
-    machine.counter.charge("gather", machine._block(ns))  # cp at unique indices
+    machine.charge_block("gather", ns)  # cp at unique indices
     succ = cp[nxt_in_seg]
 
     # break each tour at its root's head slot and seed the terminal with
@@ -75,9 +75,9 @@ def rootfix(machine: Machine, parent: np.ndarray) -> np.ndarray:
     is_root_node = parent[node_of_slot] == node_of_slot
     machine.charge_elementwise(ns)
     root_head = sf & is_root_node
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     terminal = root_head[succ]
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     seed_root = node_of_slot[succ]
 
     lab = np.where(terminal, seed_root, -1)
@@ -88,8 +88,8 @@ def rootfix(machine: Machine, parent: np.ndarray) -> np.ndarray:
         live = ptr >= 0
         if not live.any() and (lab >= 0).all():
             break
-        machine.counter.charge("gather", machine._block(ns))
-        machine.counter.charge("gather", machine._block(ns))
+        machine.charge_block("gather", ns)
+        machine.charge_block("gather", ns)
         machine.charge_elementwise(ns)
         tgt = np.clip(ptr, 0, ns - 1)
         lab = np.where((lab < 0) & (ptr >= 0), lab[tgt], lab)
@@ -99,7 +99,7 @@ def rootfix(machine: Machine, parent: np.ndarray) -> np.ndarray:
         raise RuntimeError("rootfix propagation did not converge")
 
     # every slot of a vertex carries the same root; read it off the heads
-    machine.counter.charge("permute", machine._block(ns))
+    machine.charge_block("permute", ns)
     labels[node_of_slot[sf]] = lab[sf]
     # non-head slots belong to the same vertices; also cover leaf nodes that
     # appear only as children (they have slots too, so already covered)

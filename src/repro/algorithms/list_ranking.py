@@ -27,8 +27,8 @@ __all__ = ["list_rank", "list_rank_and_tail", "list_rank_sampled"]
 def _charged_jump_round(m, n: int) -> None:
     """One pointer-jumping round: read successor's rank and successor's
     successor (two unique-index gathers) and add (one elementwise step)."""
-    m.counter.charge("gather", m._block(n))
-    m.counter.charge("gather", m._block(n))
+    m.charge_block("gather", n)
+    m.charge_block("gather", n)
     m.charge_elementwise(n)
 
 
@@ -109,14 +109,14 @@ def list_rank_sampled(next_: Vector, *, base_size: int = 2) -> Vector:
         if not has_succ.any():
             break  # every live node is already a list tail; nothing to rank
         succ_ok[has_succ] = ~coins[ptr[has_succ]]
-        m.counter.charge("gather", m._block(live_count))
+        m.charge_block("gather", live_count)
         spliced = coins & succ_ok & has_succ  # keep list tails in place
         if spliced.any():
             # predecessors of spliced nodes skip over them
             pred = np.full(n, -1, dtype=np.int64)
             valid = alive & (ptr >= 0)
             pred[ptr[valid]] = np.flatnonzero(valid)
-            m.counter.charge("permute", m._block(live_count))
+            m.charge_block("permute", live_count)
             sp = np.flatnonzero(spliced)
             has_pred = pred[sp] >= 0
             pw = sp[has_pred]
@@ -129,7 +129,7 @@ def list_rank_sampled(next_: Vector, *, base_size: int = 2) -> Vector:
             levels.append((sp, ptr_save, weight_save))
         # load balance the survivors (a pack over the live elements)
         m.charge_scan(live_count)
-        m.counter.charge("permute", m._block(live_count))
+        m.charge_block("permute", live_count)
         live_count = int(alive.sum())
         if not spliced.any() and live_count <= base_size * 4:
             break
@@ -149,7 +149,7 @@ def list_rank_sampled(next_: Vector, *, base_size: int = 2) -> Vector:
     # reinsert spliced levels in reverse order (each level touches only its
     # spliced nodes plus the already-ranked frontier: charge the level size)
     for sp, ptr_save, weight_save in reversed(levels):
-        m.counter.charge("gather", m._block(len(sp)))
+        m.charge_block("gather", len(sp))
         m.charge_elementwise(len(sp))
         succ_rank = np.where(ptr_save >= 0, rank[np.clip(ptr_save, 0, n - 1)], 0)
         rank[sp] = succ_rank + weight_save * (ptr_save >= 0)

@@ -121,7 +121,7 @@ def max_flow(machine: Machine, n_vertices: int, edges, capacities,
         flow = flow + amount
         # skew symmetry (a push and a counter-push on the same edge cannot
         # both be admissible, so the updates never collide): one permute
-        machine.counter.charge("permute", machine._block(ns))
+        machine.charge_block("permute", ns)
         pushed = chosen
         flow[cp[pushed]] = -flow[pushed]
 

@@ -105,7 +105,7 @@ def minimum_spanning_tree(machine: Machine, n_vertices: int, edges, weights,
                 continue  # unlucky coins; try again
 
             # the chosen edges are MST edges (cut property); record them
-            machine.counter.charge("permute", machine._block(g.num_slots))
+            machine.charge_block("permute", g.num_slots)
             selected.append(eid.data[child_star.data].copy())
 
             star = child_star | child_star.permute(g.cross_pointers)

@@ -106,7 +106,7 @@ class SparseMatrix:
         prod = self.val * xs
         sums = segmented.seg_plus_distribute(prod, self.seg_flags)
         heads = ops.pack(sums, self.seg_flags)
-        m.counter.charge("permute", m._block(self.shape[0]))
+        m.charge_block("permute", self.shape[0])
         out[self.nonempty_rows] = heads.data
         return Vector(m, out)
 
@@ -117,7 +117,7 @@ class SparseMatrix:
         if self.nnz:
             sums = segmented.seg_plus_distribute(self.val, self.seg_flags)
             heads = ops.pack(sums, self.seg_flags)
-            m.counter.charge("permute", m._block(self.shape[0]))
+            m.charge_block("permute", self.shape[0])
             out[self.nonempty_rows] = heads.data
         return Vector(m, out)
 

@@ -142,8 +142,8 @@ def tree_contract(machine: Machine, tree: ExpressionTree,
         # both exclusive)
         for _ in range(6):
             machine.charge_elementwise(active)
-        machine.counter.charge("gather", machine._block(active))
-        machine.counter.charge("gather", machine._block(active))
+        machine.charge_block("gather", active)
+        machine.charge_block("gather", active)
 
         k = kind.copy()
         # --- rake ----------------------------------------------------- #
@@ -208,6 +208,6 @@ def tree_contract(machine: Machine, tree: ExpressionTree,
         referenced[tree.root] = True
         alive = referenced
         # load balance the survivors (a pack)
-        machine.counter.charge("permute", machine._block(active))
+        machine.charge_block("permute", active)
 
     return int(value[tree.root]), rounds

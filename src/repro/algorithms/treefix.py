@@ -68,7 +68,7 @@ class RootedTree:
         self.machine.charge_elementwise(self.tour_len)
         contrib = np.where(self.is_down, 1, -1).astype(np.int64)
         ex = self._tour_scan(contrib)
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         out = np.zeros(self.n, dtype=np.int64)
         nonroot = self.down_pos >= 0
         out[nonroot] = ex[self.down_pos[nonroot]] + 1
@@ -78,7 +78,7 @@ class RootedTree:
         """Preorder number of every vertex (root = 0)."""
         self.machine.charge_elementwise(self.tour_len)
         ex = self._tour_scan(self.is_down.astype(np.int64))
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         out = np.zeros(self.n, dtype=np.int64)
         nonroot = self.down_pos >= 0
         out[nonroot] = ex[self.down_pos[nonroot]] + 1
@@ -88,7 +88,7 @@ class RootedTree:
         """Postorder number of every vertex (root = n − 1)."""
         self.machine.charge_elementwise(self.tour_len)
         ex = self._tour_scan((~self.is_down).astype(np.int64))
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         out = np.full(self.n, self.n - 1, dtype=np.int64)
         nonroot = self.up_pos >= 0
         out[nonroot] = ex[self.up_pos[nonroot]]
@@ -98,7 +98,7 @@ class RootedTree:
         """Number of vertices in each vertex's subtree (itself included)."""
         self.machine.charge_elementwise(self.tour_len)
         ex = self._tour_scan(self.is_down.astype(np.int64))
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         self.machine.charge_elementwise(self.n)
         out = np.full(self.n, self.n, dtype=np.int64)
         nonroot = self.down_pos >= 0
@@ -113,12 +113,12 @@ class RootedTree:
         values = np.asarray(values, dtype=np.int64)
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} values")
-        self.machine.counter.charge("permute", self.machine._block(self.tour_len))
+        self.machine.charge_block("permute", self.tour_len)
         contrib = np.zeros(self.tour_len, dtype=np.int64)
         mask = self.down_vertex >= 0
         contrib[mask] = values[self.down_vertex[mask]]
         ex = self._tour_scan(contrib)
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         self.machine.charge_elementwise(self.n)
         out = np.full(self.n, values.sum(), dtype=np.int64)
         nonroot = self.down_pos >= 0
@@ -162,7 +162,7 @@ class RootedTree:
         L = self.tour_len
         m = self.machine
 
-        m.counter.charge("permute", m._block(L))
+        m.charge_block("permute", L)
         base = np.full(L, ident, dtype=np.int64)
         mask = self.down_vertex >= 0
         base[mask] = values[self.down_vertex[mask]]
@@ -170,7 +170,7 @@ class RootedTree:
         tables = [base]
         k_max = ceil_log2(L)
         for k in range(1, k_max + 1):
-            m.counter.charge("gather", m._block(L))
+            m.charge_block("gather", L)
             m.charge_elementwise(L)
             prev = tables[-1]
             shift = 1 << (k - 1)
@@ -184,8 +184,8 @@ class RootedTree:
         width = b - a + 1
         k = np.array([int(w).bit_length() - 1 for w in width], dtype=np.int64)
         if self.machine.capabilities.concurrent_read:
-            m.counter.charge("gather", m._block(self.n))
-            m.counter.charge("gather", m._block(self.n))
+            m.charge_block("gather", self.n)
+            m.charge_block("gather", self.n)
         else:
             # simulate the concurrent read by sorting the requests
             for _ in range(2 * ceil_log2(max(self.n, 2))):
@@ -201,7 +201,7 @@ class RootedTree:
         values = np.asarray(values, dtype=np.int64)
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} values")
-        self.machine.counter.charge("permute", self.machine._block(self.tour_len))
+        self.machine.charge_block("permute", self.tour_len)
         contrib = np.zeros(self.tour_len, dtype=np.int64)
         mask = self.down_vertex >= 0
         contrib[mask] = values[self.down_vertex[mask]]
@@ -212,7 +212,7 @@ class RootedTree:
         up_vertex[self.up_pos[nonroot]] = nonroot
         contrib[up_mask] = -values[np.maximum(up_vertex[up_mask], 0)]
         ex = self._tour_scan(contrib)
-        self.machine.counter.charge("gather", self.machine._block(self.n))
+        self.machine.charge_block("gather", self.n)
         self.machine.charge_elementwise(self.n)
         # at v's down edge the scan holds the sum over v's strict ancestors
         # *below the root*; add the root's value and v's own
@@ -250,7 +250,7 @@ def root_tree_edges(machine: Machine, n: int, edges, root: int = 0) -> np.ndarra
     machine.charge_elementwise(ns)
     last = idx - head_pos + 1 == seg_len
     nxt_in_seg = np.where(last, head_pos, idx + 1)
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     succ = cp[nxt_in_seg]
 
     seg_id = np.cumsum(sf) - 1
@@ -259,17 +259,17 @@ def root_tree_edges(machine: Machine, n: int, edges, root: int = 0) -> np.ndarra
     h_r = int(np.flatnonzero(root_head)[0])
     start_flag = np.zeros(ns, dtype=bool)
     start_flag[cp[h_r]] = True
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     nxt = np.where(start_flag[succ], -1, succ)
 
     rank = list_rank(Vector(machine, nxt)).data
     machine.charge_elementwise(ns)
     pos = (ns - 1) - rank
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     is_down_slot = pos < pos[cp]  # first visit of the edge
 
     parent = np.full(n, -1, dtype=np.int64)
-    machine.counter.charge("permute", machine._block(ns))
+    machine.charge_block("permute", ns)
     parent[vertex_of_slot[is_down_slot]] = vertex_of_slot[cp[is_down_slot]]
     parent[root] = root
     if (parent < 0).any():
@@ -308,7 +308,7 @@ def build_rooted_tree(machine: Machine, parent) -> RootedTree:
     machine.charge_elementwise(ns)
     last = idx - head_pos + 1 == seg_len
     nxt_in_seg = np.where(last, head_pos, idx + 1)
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     succ = cp[nxt_in_seg]
 
     # the canonical tour starts with the root's first departure — the down
@@ -321,7 +321,7 @@ def build_rooted_tree(machine: Machine, parent) -> RootedTree:
     h_r = int(np.flatnonzero(root_head)[0])
     start_flag = np.zeros(ns, dtype=bool)
     start_flag[cp[h_r]] = True
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     terminal = start_flag[succ]
     nxt = np.where(terminal, -1, succ)
 
@@ -332,14 +332,14 @@ def build_rooted_tree(machine: Machine, parent) -> RootedTree:
 
     # each slot is an *arrival*: a down edge iff the arriving vertex's
     # parent sits at the other end
-    machine.counter.charge("gather", machine._block(ns))
+    machine.charge_block("gather", ns)
     other_vertex = vertex_of_slot[cp]
     is_down_slot = parent[vertex_of_slot] == other_vertex
 
     down_pos = np.full(n, -1, dtype=np.int64)
     up_pos = np.full(n, -1, dtype=np.int64)
-    machine.counter.charge("permute", machine._block(ns))
-    machine.counter.charge("permute", machine._block(ns))
+    machine.charge_block("permute", ns)
+    machine.charge_block("permute", ns)
     down_pos[vertex_of_slot[is_down_slot]] = pos[is_down_slot]
     # the up edge of v arrives at parent(v) *from* v: its slot's other end
     # names v

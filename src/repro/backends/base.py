@@ -37,6 +37,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from ..observe.metrics import registry
+
 __all__ = ["Backend", "OpEvent"]
 
 
@@ -73,11 +75,21 @@ class Backend(ABC):
     #: the bare name is the whole syntax (no arguments accepted)
     spec_syntax: ClassVar[str] = ""
 
+    #: observers attached to this instance (see :attr:`observers`); the
+    #: empty class default is what :meth:`run` reads until one attaches
+    _observers: ClassVar = ()
+
     #: whether this engine executes lazy expression DAGs
     #: (:mod:`repro.core.lazy`) through a chunked ``fused_pipeline``; on
     #: every other engine elementwise ops run eagerly whatever the
     #: machine's ``fusion`` setting (see ``Machine.fusion_enabled``)
     fuses: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # this engine's ``backend.<name>.ops`` counter in the process-wide
+        # registry (:mod:`repro.observe.metrics`), resolved once per class
+        cls._ops = registry.counter(f"backend.{cls.name}.ops")
 
     @classmethod
     def from_spec(cls, arg: str) -> "Backend":
@@ -101,49 +113,41 @@ class Backend(ABC):
         """Callables receiving an :class:`OpEvent` after every primitive
         run through :meth:`run`.  Lazily created so subclasses need no
         ``__init__`` cooperation; empty means zero per-op overhead."""
-        try:
-            return self._observers
-        except AttributeError:
-            self._observers: list = []
-            return self._observers
+        observers = self.__dict__.get("_observers")
+        if observers is None:
+            observers = self._observers = []
+        return observers
 
     def run(self, op: str, *args, **kwargs):
-        """Execute one primitive by name, notifying observers.
+        """Execute one primitive by name, counting it and notifying
+        observers.
 
         This is the machine's entry point
         (:meth:`repro.machine.Machine.execute` delegates here).  With no
-        observers attached it is a bare dispatch — results and timing are
-        indistinguishable from calling the method directly — so
-        instrumentation stays strictly opt-in.
+        observers attached it is a bare dispatch — one instance-dict
+        lookup, one ``backend.<name>.ops`` add and the method call — so
+        instrumentation stays strictly opt-in.  Observers are looked up on
+        every call, so one attached at any time sees every later op.
         """
-        fn = getattr(self, op)
-        observers = getattr(self, "_observers", None)
-        counter = self._ops_metric()
-        if not observers:
-            counter.inc()
-            return fn(*args, **kwargs)
+        if self._observers:
+            return self._run_observed(op, args, kwargs)
+        self._ops.value += 1
+        return getattr(self, op)(*args, **kwargs)
+
+    def _run_observed(self, op: str, args: tuple, kwargs: dict):
+        """:meth:`run` with observers attached: time the op, count it,
+        then hand every observer one :class:`OpEvent`."""
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
+        out = getattr(self, op)(*args, **kwargs)
         seconds = time.perf_counter() - t0
-        counter.inc()
+        self._ops.value += 1
         out_bytes = _result_bytes(out)
         event = OpEvent(op=op, seconds=seconds, out_bytes=out_bytes,
                         temp_bytes=self.temp_bytes(op, out_bytes),
                         backend=self.name)
-        for observer in observers:
+        for observer in self._observers:
             observer(event)
         return out
-
-    def _ops_metric(self):
-        """Cached handle on this backend's ``backend.<name>.ops`` counter
-        in the process-wide registry (:mod:`repro.observe.metrics`)."""
-        try:
-            return self._ops_counter
-        except AttributeError:
-            from ..observe.metrics import registry
-
-            self._ops_counter = registry.counter(f"backend.{self.name}.ops")
-            return self._ops_counter
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
         """Estimated peak working storage for one op, in bytes.

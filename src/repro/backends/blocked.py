@@ -243,11 +243,13 @@ class BlockedBackend(Backend):
     # ---------------------------- segmented ---------------------------- #
 
     def segment_ids(self, seg_flags: np.ndarray) -> np.ndarray:
-        out = np.empty(len(seg_flags), dtype=np.int64)
+        out = seg_flags.astype(np.int64)
         carry = 0
         for s, e in self._spans(len(seg_flags)):
-            np.cumsum(seg_flags[s:e], out=out[s:e])
-            out[s:e] += carry - 1
+            # the chunk's running flag count, offset by the segments
+            # before it (folded into its first element), all in place
+            out[s] += carry - 1
+            np.add.accumulate(out[s:e], out=out[s:e])
             carry = int(out[e - 1]) + 1
         return out
 
@@ -267,10 +269,13 @@ class BlockedBackend(Backend):
         carry = values[0]  # the open segment's head value
         for s, e in self._spans(len(values)):
             seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            local = np.cumsum(sfc) - 1  # -1 on the continuing run
+            heads = sfc.nonzero()[0]
+            # each element's row in ``table``: its count of heads so far
+            # (0 on the run continuing from the previous chunk)
+            rows = sfc.astype(np.int64)
+            np.add.accumulate(rows, out=rows)
             table = np.concatenate(([carry], seg[heads]))
-            out[s:e] = table[local + 1]
+            out[s:e] = table[rows]
             if len(heads):
                 carry = seg[heads[-1]]
         return out
@@ -322,8 +327,9 @@ class BlockedBackend(Backend):
         out = np.empty(len(seg_flags), dtype=per_segment.dtype)
         carry = 0
         for s, e in self._spans(len(seg_flags)):
-            sfc = seg_flags[s:e]
-            ids = np.cumsum(sfc) + (carry - 1)
+            ids = seg_flags[s:e].astype(np.int64)
+            ids[0] += carry - 1
+            np.add.accumulate(ids, out=ids)
             out[s:e] = per_segment[ids]
             carry = int(ids[-1]) + 1
         return out

@@ -9,6 +9,7 @@ kernel per scan serves every engine.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,12 +21,23 @@ __all__ = ["NumPyBackend"]
 
 
 def _seg_ids(sf: np.ndarray) -> np.ndarray:
-    """0-based segment number of each element (inclusive +-scan of flags, -1)."""
-    return np.cumsum(sf) - 1
+    """0-based segment number of each element: the inclusive ``+-scan``
+    of the flags, less one, built in one int64 buffer in place (the -1
+    rides on the first element into the running sum)."""
+    ids = sf.astype(np.int64)
+    if len(ids):
+        ids[0] -= 1
+        np.add.accumulate(ids, out=ids)
+    return ids
 
 
-_REDUCERS = {"sum": np.sum, "max": np.max, "min": np.min,
-             "any": np.any, "all": np.all}
+#: ``reduce`` as the ufunc reductions that ``np.sum`` and friends wrap,
+#: called directly (``any``/``all`` reduce in bool, as those do)
+_REDUCERS = {"sum": partial(np.add.reduce, axis=None),
+             "max": partial(np.maximum.reduce, axis=None),
+             "min": partial(np.minimum.reduce, axis=None),
+             "any": partial(np.logical_or.reduce, axis=None, dtype=bool),
+             "all": partial(np.logical_and.reduce, axis=None, dtype=bool)}
 
 _SEG_REDUCERS = {"sum": np.add, "max": np.maximum, "min": np.minimum,
                  "or": np.logical_or, "and": np.logical_and}
@@ -141,7 +153,7 @@ class NumPyBackend(Backend):
     # ---------------------------- segmented ---------------------------- #
 
     def segment_ids(self, seg_flags: np.ndarray) -> np.ndarray:
-        return _seg_ids(seg_flags).astype(np.int64)
+        return _seg_ids(seg_flags)
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
@@ -156,14 +168,14 @@ class NumPyBackend(Backend):
         if len(values) == 0:
             return values.copy()
         s = _seg_ids(seg_flags)
-        return values[np.flatnonzero(seg_flags)][s]
+        return values[seg_flags.nonzero()[0]][s]
 
     def seg_back_copy(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
         if len(values) == 0:
             return values.copy()
         s = _seg_ids(seg_flags)
-        heads = np.flatnonzero(seg_flags)
+        heads = seg_flags.nonzero()[0]
         tails = np.append(heads[1:], len(values)) - 1
         return values[tails][s]
 
@@ -171,7 +183,7 @@ class NumPyBackend(Backend):
                        op: str) -> np.ndarray:
         if len(values) == 0:
             return values.copy()
-        heads = np.flatnonzero(seg_flags)
+        heads = seg_flags.nonzero()[0]
         s = _seg_ids(seg_flags)
         per_segment = _SEG_REDUCERS[op].reduceat(values, heads)
         return per_segment[s].astype(values.dtype, copy=False)

@@ -60,7 +60,7 @@ def _merge_into(machine: Machine, a: np.ndarray, b: np.ndarray,
         total = sum(len(x) + len(y) for x, y, _ in frontier)
         machine.charge_elementwise(max(total, 1))
         machine.charge_gather(max(total, 1), unique=False)  # sample lookups
-        machine.counter.charge("permute", machine._block(max(total, 1)))
+        machine.charge_block("permute", max(total, 1))
         nxt = []
         for x, y, dest in frontier:
             nxt.extend(_one_level(x, y, dest))

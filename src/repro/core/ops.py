@@ -126,8 +126,8 @@ def pack(v: Vector, flags: Vector) -> Vector:
     if m == 0:
         return Vector._adopt(v.machine, np.empty(0, dtype=v.dtype))
     # Only flagged processors write; the permute is still one step.
-    v.machine.charge_permute(len(v))
-    out = v.machine.execute("pack", v.data, flags.data, idx.data, m)
+    v.machine.charge_permute(v._n)
+    out = v.machine.execute("pack", v._data, flags._data, idx._data, m)
     return Vector._adopt(v.machine, out)
 
 

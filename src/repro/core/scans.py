@@ -104,12 +104,13 @@ def plus_scan(v: Vector) -> Vector:
     backend (see ``docs/verification.md``).  Boolean vectors are widened to
     int64 first, so a ``+-scan`` of flags counts rather than ORs.
     """
+    m = v.machine
     if _checked_dispatch(v):
         from ..faults.checked import reliable_plus_scan
 
         return reliable_plus_scan(v)
-    v.machine.charge_scan(len(v))
-    node = v._pending_node()
+    m.charge_scan(v._n)
+    node = v._pending_node() if v._expr is not None else None
     if node is not None:
         # fuse the scan onto the pending elementwise chain: one pipeline,
         # one pass per chunk on the blocked backend.  The bool -> int64
@@ -119,12 +120,11 @@ def plus_scan(v: Vector) -> Vector:
             node = LazyNode("cast", None, (node,), node.n,
                             np.dtype(np.int64))
         plan = compile_plan(node, terminal="plus_scan")
-        return Vector._adopt(v.machine, v.machine.execute_fused(plan))
-    data = v.data
+        return Vector._adopt(m, m.execute_fused(plan))
+    data = v._data
     if data.dtype == np.bool_:
         data = data.astype(np.int64)
-    out = v.machine.execute("plus_scan", data, inject="scan")
-    return Vector._adopt(v.machine, out)
+    return Vector._adopt(m, m.execute("plus_scan", data, inject="scan"))
 
 
 def max_scan(v: Vector, identity=None) -> Vector:
@@ -134,20 +134,21 @@ def max_scan(v: Vector, identity=None) -> Vector:
     to the smallest representable value of the dtype; pass ``identity=0`` to
     match the paper's unsigned-integer figures.
     """
+    m = v.machine
     if _checked_dispatch(v):
         from ..faults.checked import reliable_max_scan
 
         return reliable_max_scan(v, identity=identity)
-    v.machine.charge_scan(len(v))
+    m.charge_scan(v._n)
     if identity is None:
         identity = max_identity(v.dtype)
-    node = v._pending_node()
+    node = v._pending_node() if v._expr is not None else None
     if node is not None:
         plan = compile_plan(node, terminal="max_scan",
                             terminal_args=(identity,))
-        return Vector._adopt(v.machine, v.machine.execute_fused(plan))
-    out = v.machine.execute("max_scan", v.data, identity, inject="scan")
-    return Vector._adopt(v.machine, out)
+        return Vector._adopt(m, m.execute_fused(plan))
+    out = m.execute("max_scan", v._data, identity, inject="scan")
+    return Vector._adopt(m, out)
 
 
 # --------------------------------------------------------------------- #
@@ -243,10 +244,11 @@ def back_and_scan(v: Vector) -> Vector:
 # --------------------------------------------------------------------- #
 
 def _reduce(v: Vector, op: str, empty):
-    v.machine.charge_reduce(len(v))
-    if len(v) == 0:
+    m = v.machine
+    m.charge_reduce(v._n)
+    if v._n == 0:
         return empty
-    return v.machine.execute("reduce", v.data, op).item()
+    return m.execute("reduce", v._data, op).item()
 
 
 def plus_reduce(v: Vector):
@@ -280,13 +282,13 @@ def _distribute(v: Vector, op: str) -> Vector:
     """Reduce then broadcast — the paper implements ``+-distribute`` as a
     ``+-scan`` followed by a backward copy, which is one reduce-shaped step
     plus one broadcast-shaped step on every model."""
-    v.machine.charge_reduce(len(v))
-    v.machine.charge_broadcast(len(v))
-    if len(v) == 0:
-        return Vector._adopt(v.machine, np.empty(0, dtype=v.dtype))
-    total = v.machine.execute("reduce", v.data, op)
-    return Vector._adopt(v.machine,
-                         v.machine.execute("full", len(v), total, v.dtype))
+    m, n = v.machine, v._n
+    m.charge_reduce(n)
+    m.charge_broadcast(n)
+    if n == 0:
+        return Vector._adopt(m, np.empty(0, dtype=v.dtype))
+    total = m.execute("reduce", v._data, op)
+    return Vector._adopt(m, m.execute("full", n, total, v.dtype))
 
 
 def plus_distribute(v: Vector) -> Vector:

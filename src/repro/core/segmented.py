@@ -70,75 +70,49 @@ class SegmentError(ValueError, TypeError):
     handlers of either keep working)."""
 
 
-def check_segment_flags(values: Vector, seg_flags: Vector) -> None:
+def check_segment_flags(values: Vector, seg_flags: Vector) -> np.ndarray:
     """Validate a (values, segment-flags) pair: same machine, same length,
     boolean flags, and the first element starts a segment.  Violations
     raise :class:`SegmentError`; every segmented entry point calls this
     (or :func:`check_flags_only` when there is no values vector) before
-    charging any steps."""
+    charging any steps.  Returns the flags' array."""
     if seg_flags.machine is not values.machine:
         raise SegmentError("values and segment flags live on different machines")
-    if len(seg_flags) != len(values):
+    if seg_flags._n != values._n:
         raise SegmentError(
-            f"segment flags length {len(seg_flags)} != values length {len(values)}"
+            f"segment flags length {seg_flags._n} != values length {values._n}"
         )
-    _check_flag_invariants(seg_flags)
+    return _check_flag_invariants(seg_flags)
 
 
-def check_flags_only(seg_flags: Vector) -> None:
+def check_flags_only(seg_flags: Vector) -> np.ndarray:
     """Validate a bare segment-flag vector (entry points like
-    :func:`segment_ids` that take no values vector)."""
-    _check_flag_invariants(seg_flags)
+    :func:`segment_ids` that take no values vector); returns its array."""
+    return _check_flag_invariants(seg_flags)
 
 
-def _check_flag_invariants(seg_flags: Vector) -> None:
-    if seg_flags.dtype != np.bool_:
+def _check_flag_invariants(seg_flags: Vector) -> np.ndarray:
+    sf = seg_flags._storage if seg_flags._expr is None else seg_flags._data
+    if sf.dtype != np.bool_:
         raise SegmentError("segment flags must be boolean")
-    if len(seg_flags) and not seg_flags.data[0]:
+    if len(sf) and not sf[0]:
         raise SegmentError("the first element must begin a segment (flags[0] is False)")
+    return sf
 
 
-def _charge(machine: Machine, n: int, *, n_scans: int, n_ew: int) -> None:
-    """Charge the cost of a segmented operation's Section-3.4 construction."""
-    for _ in range(n_scans):
-        machine.charge_scan(n)
-    for _ in range(n_ew):
-        machine.charge_elementwise(n)
-
-
-def _charge_distribute(machine: Machine, n: int) -> None:
-    """Charge one per-segment reduce-and-spread.
-
-    On the scan model this is the Section-3.4 scan construction; on an
-    extended CRCW it is one combining write into the segment's cell plus a
-    concurrent read back (the O(1) step Table 1's CRCW column uses); plain
-    P-RAMs pay the scan tree.
-    """
-    caps = machine.capabilities
-    if caps.combining_write and caps.concurrent_read:
-        machine.counter.charge("combine_write", machine._block(n))
-        machine.charge_broadcast(n)
-        machine.charge_elementwise(n)
-    else:
-        _charge(machine, n, n_scans=4, n_ew=5)
-
-
-def _charge_copy(machine: Machine, n: int) -> None:
-    """Charge one per-segment head broadcast: a write plus a concurrent
-    read on CREW/CRCW, the segmented max-scan construction elsewhere."""
-    if machine.capabilities.concurrent_read:
-        machine.counter.charge("memory", machine._block(n))
-        machine.charge_broadcast(n)
-    else:
-        _charge(machine, n, n_scans=2, n_ew=3)
+# Charges: each operation pays its Section-3.4 construction in one call:
+# ``Machine.charge_segmented`` (``scans`` scans, then ``elementwise``
+# elementwise steps), or ``charge_seg_copy`` / ``charge_seg_distribute``,
+# which pay that construction or, on the concurrent-read and
+# combining-write models, the cheaper direct form (docs/cost_model.md).
 
 
 def segment_ids(seg_flags: Vector) -> Vector:
     """The segment number of each element (one scan + one elementwise step)."""
-    check_flags_only(seg_flags)
+    sf = check_flags_only(seg_flags)
     m = seg_flags.machine
-    _charge(m, len(seg_flags), n_scans=1, n_ew=1)
-    return Vector._adopt(m, m.execute("segment_ids", seg_flags.data))
+    m.charge_segmented(len(sf), scans=1, elementwise=1)
+    return Vector._adopt(m, m.execute("segment_ids", sf))
 
 
 def segment_heads(seg_flags: Vector) -> np.ndarray:
@@ -184,13 +158,13 @@ def seg_plus_scan(values: Vector, seg_flags: Vector) -> Vector:
     at each segment head across the segment, subtract.  Charged as three
     scans (the copy is itself a segmented max-scan) plus elementwise steps.
     """
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge(m, len(values), n_scans=3, n_ew=4)
-    v = values.data
+    m.charge_segmented(len(sf), scans=3, elementwise=4)
+    v = values._data
     if v.dtype == np.bool_:
         v = v.astype(np.int64)
-    return Vector._adopt(m, m.execute("seg_plus_scan", v, seg_flags.data))
+    return Vector._adopt(m, m.execute("seg_plus_scan", v, sf))
 
 
 def seg_max_scan(values: Vector, seg_flags: Vector, identity=None) -> Vector:
@@ -200,25 +174,25 @@ def seg_max_scan(values: Vector, seg_flags: Vector, identity=None) -> Vector:
     one unsegmented ``max-scan`` on the appended keys, plus the append /
     extract elementwise steps.
     """
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge(m, len(values), n_scans=2, n_ew=3)
+    m.charge_segmented(len(sf), scans=2, elementwise=3)
     if identity is None:
         identity = scans.max_identity(values.dtype)
-    out = m.execute("seg_extreme_scan", values.data, seg_flags.data,
-                    identity, is_max=True)
+    out = m.execute("seg_extreme_scan", values._data, sf, identity,
+                    is_max=True)
     return Vector._adopt(m, out)
 
 
 def seg_min_scan(values: Vector, seg_flags: Vector, identity=None) -> Vector:
     """Segmented exclusive ``min-scan`` (inverted segmented ``max-scan``)."""
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge(m, len(values), n_scans=2, n_ew=5)
+    m.charge_segmented(len(sf), scans=2, elementwise=5)
     if identity is None:
         identity = scans.min_identity(values.dtype)
-    out = m.execute("seg_extreme_scan", values.data, seg_flags.data,
-                    identity, is_max=False)
+    out = m.execute("seg_extreme_scan", values._data, sf, identity,
+                    is_max=False)
     return Vector._adopt(m, out)
 
 
@@ -295,20 +269,19 @@ def seg_back_min_scan(values: Vector, seg_flags: Vector, identity=None) -> Vecto
 def seg_copy(values: Vector, seg_flags: Vector) -> Vector:
     """Copy each segment's first element across its segment (the segmented
     ``copy`` of Section 2.3.1, built on a segmented ``max-scan``)."""
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge_copy(m, len(values))
-    return Vector._adopt(m, m.execute("seg_copy", values.data, seg_flags.data))
+    m.charge_seg_copy(len(sf))
+    return Vector._adopt(m, m.execute("seg_copy", values._data, sf))
 
 
 def seg_back_copy(values: Vector, seg_flags: Vector) -> Vector:
     """Copy each segment's *last* element across its segment (a backward
     segmented copy, as used by ``+-distribute``)."""
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge_copy(m, len(values))
-    return Vector._adopt(m, m.execute("seg_back_copy", values.data,
-                                      seg_flags.data))
+    m.charge_seg_copy(len(sf))
+    return Vector._adopt(m, m.execute("seg_back_copy", values._data, sf))
 
 
 def seg_enumerate(flags: Vector, seg_flags: Vector) -> Vector:
@@ -331,11 +304,10 @@ def seg_index(seg_flags: Vector) -> Vector:
 def _seg_distribute(values: Vector, seg_flags: Vector, op: str) -> Vector:
     """Per-segment reduction distributed to every element of the segment:
     one segmented scan + one segmented copy worth of steps."""
-    check_segment_flags(values, seg_flags)
+    sf = check_segment_flags(values, seg_flags)
     m = values.machine
-    _charge_distribute(m, len(values))
-    out = m.execute("seg_distribute", values.data, seg_flags.data, op)
-    return Vector._adopt(m, out)
+    m.charge_seg_distribute(len(sf))
+    return Vector._adopt(m, m.execute("seg_distribute", values._data, sf, op))
 
 
 def seg_plus_distribute(values: Vector, seg_flags: Vector) -> Vector:

@@ -28,6 +28,7 @@ elementwise operations execute eagerly, one backend op each.
 """
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -39,6 +40,10 @@ from .lazy import LazyNode, compile_plan, probe_dtype
 __all__ = ["Vector"]
 
 Scalar = Union[int, float, bool, np.integer, np.floating, np.bool_]
+
+_new = object.__new__
+# index range checks as the ufunc reductions ``ndarray.min`` / ``max`` wrap
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class Vector:
@@ -56,7 +61,8 @@ class Vector:
         which every primitive uses for its result.
     """
 
-    __slots__ = ("machine", "_storage", "_expr")
+    # _n is the length, fixed at construction (lazy vectors know it too)
+    __slots__ = ("machine", "_storage", "_expr", "_n")
 
     def __init__(self, machine: Machine, data) -> None:
         arr = np.array(data, copy=True)
@@ -66,6 +72,7 @@ class Vector:
         self.machine = machine
         self._storage = arr
         self._expr = None
+        self._n = len(arr)
 
     @classmethod
     def _adopt(cls, machine: Machine, arr: np.ndarray) -> "Vector":
@@ -76,20 +83,22 @@ class Vector:
         if arr.ndim != 1:
             raise ValueError(f"Vector must be 1-D, got shape {arr.shape}")
         arr.setflags(write=False)
-        self = object.__new__(cls)
+        self = _new(cls)
         self.machine = machine
         self._storage = arr
         self._expr = None
+        self._n = len(arr)
         return self
 
     @classmethod
     def _defer(cls, machine: Machine, node: LazyNode) -> "Vector":
         """Internal lazy constructor: wrap a pending expression node whose
         value materializes on first observation (see :attr:`_data`)."""
-        self = object.__new__(cls)
+        self = _new(cls)
         self.machine = machine
         self._storage = None
         self._expr = node
+        self._n = node.n
         return self
 
     # ------------------------------------------------------------------ #
@@ -141,9 +150,7 @@ class Vector:
         return self._storage.dtype
 
     def __len__(self) -> int:
-        if self._expr is not None:
-            return self._expr.n
-        return len(self._storage)
+        return self._n
 
     def to_array(self) -> np.ndarray:
         """A mutable copy of the contents."""
@@ -164,14 +171,11 @@ class Vector:
     def __hash__(self):  # vectors are containers, not keys
         raise TypeError("Vector is unhashable")
 
-    def _wrap(self, arr: np.ndarray) -> "Vector":
-        return Vector._adopt(self.machine, arr)
-
     def _check_same_machine(self, other: "Vector") -> None:
         if other.machine is not self.machine:
             raise ValueError("vectors live on different machines")
-        if len(other) != len(self):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
+        if other._n != self._n:
+            raise ValueError(f"length mismatch: {self._n} vs {other._n}")
 
     # ------------------------------------------------------------------ #
     # Elementwise operations (one program step each)
@@ -209,42 +213,60 @@ class Vector:
                 node_dtype = probe_dtype(kind, func, operands)
         else:
             node_dtype = probe_dtype(kind, func, operands)
-        node = LazyNode(kind, func, operands, len(self), node_dtype)
+        node = LazyNode(kind, func, operands, self._n, node_dtype)
         return Vector._defer(self.machine, node)
 
+    # The eager elementwise paths below are the API's hottest code: each
+    # reads its length and the machine's fusion gate once, and adopts the
+    # backend's fresh result inline (the body of ``_adopt``; an
+    # elementwise result of 1-D operands is always 1-D).
+
     def _binary(self, other, func: Callable, dtype=None) -> "Vector":
+        m, n = self.machine, self._n
         if isinstance(other, Vector):
             self._check_same_machine(other)
-        self.machine.charge_elementwise(len(self))
-        if self.machine.fusion_enabled:
+        m.charge_elementwise(n)
+        if m.fusion_enabled:
             rhs = other._operand() if isinstance(other, Vector) else other
             return self._defer_op(func, (self._operand(), rhs), dtype)
-        rhs = other._data if isinstance(other, Vector) else other
+        lhs = self._storage if self._expr is None else self._data
+        if isinstance(other, Vector):
+            other = other._storage if other._expr is None else other._data
         fn = func if dtype is None else (lambda *a: func(*a).astype(dtype))
-        out = self.machine.execute("elementwise", fn, self._data, rhs,
-                                   inject="elementwise")
-        return self._wrap(out)
+        out = m.execute("elementwise", fn, lhs, other, inject="elementwise")
+        out.setflags(write=False)
+        res = _new(Vector)
+        res.machine, res._storage, res._expr, res._n = m, out, None, n
+        return res
 
     def _rbinary(self, other, func: Callable) -> "Vector":
         """Reflected arithmetic: ``other op self`` with ``other`` a scalar
         immediate (Python dispatches Vector operands to the forward
         method), so the operand order swaps and the charge is the same
         one elementwise step."""
-        self.machine.charge_elementwise(len(self))
-        if self.machine.fusion_enabled:
+        m, n = self.machine, self._n
+        m.charge_elementwise(n)
+        if m.fusion_enabled:
             return self._defer_op(func, (other, self._operand()))
-        out = self.machine.execute("elementwise", func, other, self._data,
-                                   inject="elementwise")
-        return self._wrap(out)
+        rhs = self._storage if self._expr is None else self._data
+        out = m.execute("elementwise", func, other, rhs, inject="elementwise")
+        out.setflags(write=False)
+        res = _new(Vector)
+        res.machine, res._storage, res._expr, res._n = m, out, None, n
+        return res
 
     def _unary(self, func: Callable, dtype=None) -> "Vector":
-        self.machine.charge_elementwise(len(self))
-        if self.machine.fusion_enabled:
+        m, n = self.machine, self._n
+        m.charge_elementwise(n)
+        if m.fusion_enabled:
             return self._defer_op(func, (self._operand(),), dtype)
         fn = func if dtype is None else (lambda a: func(a).astype(dtype))
-        out = self.machine.execute("elementwise", fn, self._data,
-                                   inject="elementwise")
-        return self._wrap(out)
+        arg = self._storage if self._expr is None else self._data
+        out = m.execute("elementwise", fn, arg, inject="elementwise")
+        out.setflags(write=False)
+        res = _new(Vector)
+        res.machine, res._storage, res._expr, res._n = m, out, None, n
+        return res
 
     def __add__(self, other) -> "Vector":
         return self._binary(other, np.add)
@@ -340,12 +362,19 @@ class Vector:
 
     def astype(self, dtype) -> "Vector":
         """Convert element type (e.g. flags to 0/1 integers); one step."""
-        if self.machine.fusion_enabled:
-            self.machine.charge_elementwise(len(self))
-            node = LazyNode("cast", None, (self._operand(),), len(self),
+        m, n = self.machine, self._n
+        m.charge_elementwise(n)
+        if m.fusion_enabled:
+            node = LazyNode("cast", None, (self._operand(),), n,
                             np.dtype(dtype))
-            return Vector._defer(self.machine, node)
-        return self._unary(lambda a: a.astype(dtype))
+            return Vector._defer(m, node)
+        arg = self._storage if self._expr is None else self._data
+        out = m.execute("elementwise", methodcaller("astype", dtype), arg,
+                        inject="elementwise")
+        out.setflags(write=False)
+        res = _new(Vector)
+        res.machine, res._storage, res._expr, res._n = m, out, None, n
+        return res
 
     def where(self, if_true: Union["Vector", Scalar], if_false: Union["Vector", Scalar]) -> "Vector":
         """``if self then if_true else if_false`` elementwise; ``self`` must
@@ -356,8 +385,9 @@ class Vector:
             self._check_same_machine(if_true)
         if isinstance(if_false, Vector):
             self._check_same_machine(if_false)
-        self.machine.charge_elementwise(len(self))
-        if self.machine.fusion_enabled:
+        m, n = self.machine, self._n
+        m.charge_elementwise(n)
+        if m.fusion_enabled:
             t = if_true._operand() if isinstance(if_true, Vector) else if_true
             f = (if_false._operand() if isinstance(if_false, Vector)
                  else if_false)
@@ -365,9 +395,13 @@ class Vector:
                                   kind="where")
         t = if_true._data if isinstance(if_true, Vector) else if_true
         f = if_false._data if isinstance(if_false, Vector) else if_false
-        out = self.machine.execute("elementwise", np.where, self._data, t, f,
-                                   inject="elementwise")
-        return self._wrap(out)
+        cond = self._storage if self._expr is None else self._data
+        out = m.execute("elementwise", np.where, cond, t, f,
+                        inject="elementwise")
+        out.setflags(write=False)
+        res = _new(Vector)
+        res.machine, res._storage, res._expr, res._n = m, out, None, n
+        return res
 
     # ------------------------------------------------------------------ #
     # Communication operations
@@ -383,8 +417,8 @@ class Vector:
         """
         self._check_same_machine(index)
         idx = index._data
-        n_out = length if length is not None else len(self)
-        if len(idx) and (idx.min() < 0 or idx.max() >= n_out):
+        n_out = length if length is not None else self._n
+        if len(idx) and (_min(idx) < 0 or _max(idx) >= n_out):
             raise IndexError(
                 f"permute index out of range [0, {n_out}): "
                 f"[{idx.min() if len(idx) else ''}, {idx.max() if len(idx) else ''}]"
@@ -394,10 +428,10 @@ class Vector:
                 "permute requires unique indices (exclusive write); use "
                 "combine_write for colliding destinations"
             )
-        self.machine.charge_permute(max(len(self), n_out))
+        self.machine.charge_permute(max(self._n, n_out))
         out = self.machine.execute("permute", self._data, idx, n_out, default,
                                    inject="permute")
-        return self._wrap(out)
+        return Vector._adopt(self.machine, out)
 
     def gather(self, index: "Vector") -> "Vector":
         """``A[I]``: each processor reads the cell named by its index.
@@ -407,11 +441,12 @@ class Vector:
         """
         self._check_same_machine_any_length(index)
         idx = index._data
-        if len(idx) and (idx.min() < 0 or idx.max() >= len(self)):
+        if len(idx) and (_min(idx) < 0 or _max(idx) >= self._n):
             raise IndexError("gather index out of range")
-        unique = indices_distinct(idx, len(self))
-        self.machine.charge_gather(max(len(self), len(idx)), unique=unique)
-        return self._wrap(self.machine.execute("gather", self._data, idx))
+        unique = indices_distinct(idx, self._n)
+        self.machine.charge_gather(max(self._n, len(idx)), unique=unique)
+        out = self.machine.execute("gather", self._data, idx)
+        return Vector._adopt(self.machine, out)
 
     def _check_same_machine_any_length(self, other: "Vector") -> None:
         if other.machine is not self.machine:
@@ -428,20 +463,21 @@ class Vector:
         """
         self._check_same_machine_any_length(index)
         idx = index._data
-        if len(idx) != len(self):
+        if len(idx) != self._n:
             raise ValueError("index vector must match data vector length")
-        if len(idx) and (idx.min() < 0 or idx.max() >= length):
+        if len(idx) and (_min(idx) < 0 or _max(idx) >= length):
             raise IndexError("combine_write index out of range")
-        self.machine.charge_combine_write(max(len(self), length))
+        self.machine.charge_combine_write(max(self._n, length))
         out = self.machine.execute("combine_write", self._data, idx, length,
                                    op, default)
-        return self._wrap(out)
+        return Vector._adopt(self.machine, out)
 
     def reverse(self) -> "Vector":
         """Read the vector in reverse processor order (used for backward
         scans, Section 3.4).  One permutation step."""
-        self.machine.charge_permute(len(self))
-        return self._wrap(self.machine.execute("reverse", self._data))
+        self.machine.charge_permute(self._n)
+        out = self.machine.execute("reverse", self._data)
+        return Vector._adopt(self.machine, out)
 
     def shift(self, k: int, fill: Scalar = 0) -> "Vector":
         """Shift the vector ``k`` places toward higher indices (``k < 0``
@@ -452,8 +488,8 @@ class Vector:
         idiom of the paper's quicksort sortedness check and segment-flag
         insertion.
         """
-        self.machine.charge_permute(len(self))
-        return self._wrap(self.machine.execute("shift", self._data, k, fill))
+        self.machine.charge_permute(self._n)
+        return Vector._adopt(self.machine, self.machine.execute("shift", self._data, k, fill))
 
     # ------------------------------------------------------------------ #
     # Single-cell access (one memory reference)
@@ -470,4 +506,4 @@ class Vector:
 
     def last(self):
         """Read the last element (one memory reference)."""
-        return self.get(len(self) - 1)
+        return self.get(self._n - 1)

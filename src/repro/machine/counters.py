@@ -147,14 +147,19 @@ class StepCounter:
     by_kind: Counter = field(default_factory=Counter)
     listeners: list = field(default_factory=list)
 
-    def charge(self, kind: str, cost: int) -> None:
+    def charge(self, kind: str, cost: int, times: int = 1) -> None:
+        """Charge ``times`` primitives of ``kind`` costing ``cost`` steps
+        each: the totals move once, and listeners still receive one
+        ``(kind, cost)`` event per primitive, in order."""
         if cost < 0:
             raise ValueError(f"negative step charge for {kind!r}: {cost}")
-        self.steps += cost
-        self.ops += 1
-        self.by_kind[kind] += cost
-        for listener in self.listeners:
-            listener(kind, cost)
+        self.steps += cost * times
+        self.ops += times
+        self.by_kind[kind] += cost * times
+        if self.listeners:
+            for _ in range(times):
+                for listener in self.listeners:
+                    listener(kind, cost)
 
     def reset(self) -> None:
         self.steps = 0

@@ -25,12 +25,13 @@ complexity of Table 5.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Optional, Union
 
 import numpy as np
 
-from .._util import ceil_div, ceil_log2
 from ..backends import Backend, resolve_backend
 from ..observe.metrics import registry as _metrics
 from .capabilities import CAPABILITIES, Capabilities
@@ -61,6 +62,12 @@ def _resolve_fusion(flag: Optional[bool]) -> bool:
         raise ValueError(
             f"{FUSION_ENV_VAR} must be one of {sorted(_FUSION_VALUES)}, "
             f"got {env!r}") from None
+
+
+def _fixed(name: str, doc: str) -> property:
+    """A read-only public view of the private attribute ``name``, read in
+    C (``attrgetter``), so reading it costs no Python frame."""
+    return property(attrgetter(name), doc=doc)
 
 
 class CapabilityError(RuntimeError):
@@ -161,14 +168,22 @@ class Machine:
             )
         if num_processors is not None and num_processors < 1:
             raise ValueError(f"num_processors must be >= 1, got {num_processors}")
-        self.model = model
-        self.capabilities: Capabilities = CAPABILITIES[model]
-        #: the execution backend computing every primitive (see ``execute``)
-        self.backend: Backend = resolve_backend(backend)
-        #: lazy-fusion setting (see ``fusion_enabled`` for the live gate)
-        self.fusion: bool = _resolve_fusion(fusion)
-        self.num_processors = num_processors
-        self.allow_concurrent_write = allow_concurrent_write
+        # the configuration is fixed here, and the charges' constants are
+        # derived from it once, so its public names are read-only
+        self._model = model
+        self._capabilities: Capabilities = CAPABILITIES[model]
+        self._backend: Backend = resolve_backend(backend)
+        self._fusion: bool = _resolve_fusion(fusion)
+        self._num_processors = num_processors
+        # the processor count the charges compute with: unbounded is
+        # larger than any vector (see the charging section)
+        self._P = num_processors or sys.maxsize
+        self._allow_concurrent_write = allow_concurrent_write
+        self._fault_injector = fault_injector
+        # fusion is suspended while an injector is attached: its schedule
+        # addresses individual eager primitives
+        self._fusion_enabled = (self._fusion and self._backend.fuses
+                                and fault_injector is None)
         self.counter = StepCounter()
         #: spawn/sync/revoke ledger (only the binary-forking model moves
         #: the spawn/sync columns; revokes are model-independent)
@@ -182,8 +197,6 @@ class Machine:
             reliability = ReliabilityPolicy()
         #: reliability policy for checked scans (None = unchecked)
         self.reliability = reliability
-        #: fault injector corrupting primitive outputs (None = no injection)
-        self.fault_injector = fault_injector
         #: fault ledger; shared with the injector's when one is attached
         self.fault_counters: FaultCounters = (
             fault_injector.counters if fault_injector is not None
@@ -204,6 +217,31 @@ class Machine:
         self._metric_fused_steps = _metrics.counter("fusion.fused_steps")
 
     # ------------------------------------------------------------------ #
+    # Configuration (read-only: fixed at construction)
+    # ------------------------------------------------------------------ #
+
+    model = _fixed("_model", "The model name (``\"scan\"``, ``\"erew\"``, ...).")
+    capabilities = _fixed("_capabilities",
+                          "The model's :class:`Capabilities` row.")
+    num_processors = _fixed("_num_processors",
+                            "Physical processors ``p``; ``None`` = one per "
+                            "element.")
+    allow_concurrent_write = _fixed("_allow_concurrent_write",
+                                    "Whether combining writes are allowed "
+                                    "off the CRCW model.")
+    backend = _fixed("_backend", "The execution backend computing every "
+                     "primitive (see ``execute``).")
+    fusion = _fixed("_fusion", "The lazy-fusion setting (see "
+                    "``fusion_enabled`` for the gate).")
+    fault_injector = _fixed("_fault_injector", "The fault injector "
+                            "corrupting primitive outputs, or ``None``.")
+    fusion_enabled = _fixed("_fusion_enabled", """\
+Whether elementwise ops defer into lazy DAGs: the machine's ``fusion``
+setting, on a backend that fuses (``Backend.fuses``), with no fault
+injector attached (the injector's schedule addresses individual eager
+primitives, so fused execution would change which outputs it corrupts).""")
+
+    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
@@ -222,16 +260,6 @@ class Machine:
     def work(self) -> int:
         """Processor-step complexity: ``processors * steps`` (Table 5)."""
         return self.processors * self.steps
-
-    @property
-    def fusion_enabled(self) -> bool:
-        """Whether elementwise ops defer into lazy DAGs right now: the
-        machine's ``fusion`` setting, on a backend that fuses
-        (``Backend.fuses``), with no fault injector attached (the
-        injector's schedule addresses individual eager primitives, so
-        fused execution would change which outputs it corrupts)."""
-        return (self.fusion and self.backend.fuses
-                and self.fault_injector is None)
 
     def reset(self) -> None:
         """Zero all counters and clear the degraded-scan latch (the RNG
@@ -255,8 +283,8 @@ class Machine:
         """A point-in-time reading, stamped with the active backend's name
         and fusion setting so profile reports and failure messages
         identify the engine configuration."""
-        return self.counter.snapshot(backend=self.backend.name,
-                                     fusion=self.fusion)
+        return self.counter.snapshot(backend=self._backend.name,
+                                     fusion=self._fusion)
 
     @contextmanager
     def measure(self):
@@ -300,9 +328,9 @@ class Machine:
         the per-op observability hook — an attached profiler sees every
         primitive's wall time and byte estimates from there.
         """
-        out = self.backend.run(op, *args, **kwargs)
-        if inject is not None and self.fault_injector is not None:
-            out = self.fault_injector.corrupt_primitive(inject, out)
+        out = self._backend.run(op, *args, **kwargs)
+        if inject is not None and self._fault_injector is not None:
+            out = self._fault_injector.corrupt_primitive(inject, out)
         return out
 
     def execute_fused(self, plan):
@@ -318,103 +346,141 @@ class Machine:
         return self.execute("fused_pipeline", plan)
 
     # ------------------------------------------------------------------ #
-    # Cost formulas
+    # Charging API (used by Vector / core ops and the algorithms)
     # ------------------------------------------------------------------ #
+    #
+    # The paper's formulas (docs/cost_model.md) in closed form over an
+    # n-element primitive, with every per-machine constant bound in
+    # __init__: _P is the processor count (sys.maxsize when unbounded,
+    # larger than any n), so
+    #
+    #   block          b = ceil(n / min(P, n)) = -(-n // P)
+    #                      (0 for an empty vector; 1 for any other
+    #                      when P is unbounded)
+    #   processors     p = min(P, n)
+    #   cross-scan         1 on the scan model and for p <= 1,
+    #                      2⌈lg p⌉ = 2 * (p - 1).bit_length() elsewhere
+    #
+    # plus, on the binary-forking model, the 2⌈lg p⌉ span of the
+    # fork/join tree launching the primitive (_fork).  Each charge is one
+    # frame of arithmetic and one StepCounter.charge, and raises
+    # peak_elements to n.  Those taking ``times`` charge that many
+    # identical primitives at once: the counter, the fork ledger and the
+    # scan.* metrics move by ``times``, and listeners still get one event
+    # per primitive.
 
-    def _block(self, n: int) -> int:
-        """Elements per processor: ``ceil(n/p)``, 1 when processors >= n."""
-        self.peak_elements = max(self.peak_elements, n)
-        if n == 0:
-            return 0
-        if self.num_processors is None:
-            return 1
-        return ceil_div(n, min(self.num_processors, n))
-
-    def _effective_p(self, n: int) -> int:
-        if self.num_processors is None:
-            return n
-        return min(self.num_processors, n)
-
-    def _cross_scan_cost(self, p: int) -> int:
-        """Cost of a scan across ``p`` processors: one step in the scan
-        model, an up-and-down tree sweep of memory references otherwise.
-        On the binary-forking model the sweep *is* the fork/join walk, so
-        the count is the same ``2⌈lg p⌉`` as EREW (recorded in the fork
-        ledger by the caller)."""
+    def _fork(self, n: int, times: int = 1) -> int:
+        """Record the fork/join trees launching ``times`` primitives over
+        ``n`` elements (``p - 1`` spawns matched by ``p - 1`` syncs each:
+        the tree always joins before the primitive returns, so the ledger
+        reconciles at every quiescent point); return one tree's span
+        ``2⌈lg p⌉``.  Called only on the forked model."""
+        p = n if n < self._P else self._P
         if p <= 1:
-            return 1
-        if self.capabilities.unit_scan:
-            return 1
-        return max(1, 2 * ceil_log2(p))
-
-    def _fork_record(self, n: int) -> None:
-        """Record the binary fork/join tree launching one primitive over
-        ``n`` elements: ``p - 1`` spawns matched by ``p - 1`` syncs (the
-        tree always joins before the primitive returns, which is why the
-        ledger reconciles at every quiescent point).  No-op on the
-        synchronous P-RAM models."""
-        if not self.capabilities.forked or n <= 0:
-            return
-        p = self._effective_p(n)
-        if p > 1:
-            self.fork_counters.bump("spawned", p - 1)
-            self.fork_counters.bump("synced", p - 1)
-
-    def _spawn_span(self, n: int) -> int:
-        """Span of the fork/join tree launching one primitive over ``n``
-        elements on a forked model (``2⌈lg p⌉``; 0 on the synchronous
-        models, where primitives launch for free), recorded in the fork
-        ledger as a side effect."""
-        if not self.capabilities.forked or n <= 0:
             return 0
-        self._fork_record(n)
-        p = self._effective_p(n)
-        return 2 * ceil_log2(p) if p > 1 else 0
+        self.fork_counters.bump("spawned", (p - 1) * times)
+        self.fork_counters.bump("synced", (p - 1) * times)
+        return 2 * (p - 1).bit_length()
 
-    # ------------------------------------------------------------------ #
-    # Charging API (used by Vector / core ops, not by algorithms directly)
-    # ------------------------------------------------------------------ #
-
-    def charge_elementwise(self, n: int) -> None:
+    def charge_elementwise(self, n: int, times: int = 1) -> None:
         """One parallel arithmetic / logical / select step over ``n``
         elements (plus the fork/join span on the binary-forking model,
         where even a map must spawn its threads)."""
-        self.counter.charge("elementwise", self._block(n) + self._spawn_span(n))
+        if n > self.peak_elements:
+            self.peak_elements = n
+        span = self._fork(n, times) if self._capabilities.forked else 0
+        self.counter.charge("elementwise", -(-n // self._P) + span, times)
 
-    def charge_permute(self, n: int) -> None:
+    def charge_permute(self, n: int, times: int = 1) -> None:
         """One exclusive-write permutation step (unique destinations)."""
-        self.counter.charge("permute", self._block(n) + self._spawn_span(n))
+        if n > self.peak_elements:
+            self.peak_elements = n
+        span = self._fork(n, times) if self._capabilities.forked else 0
+        self.counter.charge("permute", -(-n // self._P) + span, times)
 
     def charge_gather(self, n: int, *, unique: bool) -> None:
         """A parallel read ``A[I]``.  With duplicate indices this is a
         concurrent read, unavailable on EREW / scan machines."""
-        if not unique and not self.capabilities.concurrent_read:
+        caps = self._capabilities
+        if not unique and not caps.concurrent_read:
             raise CapabilityError(
                 f"gather with duplicate indices is a concurrent read, "
-                f"illegal on the {self.model!r} model"
+                f"illegal on the {self._model!r} model"
             )
-        self.counter.charge("gather", self._block(n) + self._spawn_span(n))
+        if n > self.peak_elements:
+            self.peak_elements = n
+        span = self._fork(n) if caps.forked else 0
+        self.counter.charge("gather", -(-n // self._P) + span)
 
-    def charge_scan(self, n: int) -> None:
-        """One scan primitive over an ``n``-element vector."""
-        self._metric_scan_invocations.inc()
-        self._metric_scan_n.observe(n)
-        if n == 0:
-            self.counter.charge("scan", 0)
+    def charge_combine_write(self, n: int) -> None:
+        """A scatter with possibly-colliding destinations where collisions
+        combine (min / arbitrary winner).  The paper's extended-CRCW write."""
+        caps = self._capabilities
+        if not caps.concurrent_write:
+            if not self._allow_concurrent_write:
+                raise CapabilityError(
+                    f"combining/concurrent write is illegal on the {self._model!r} "
+                    f"model; construct the Machine with allow_concurrent_write=True "
+                    f"to permit it (as the paper does for line drawing)"
+                )
+            self.concurrent_writes_used += 1
+        if n > self.peak_elements:
+            self.peak_elements = n
+        span = self._fork(n) if caps.forked else 0
+        self.counter.charge("combine_write", -(-n // self._P) + span)
+
+    def charge_block(self, kind: str, n: int) -> None:
+        """One primitive of ``kind`` charged its bare block ``⌈n/p⌉`` —
+        the algorithms' hand-charged gathers, permutes and memory steps.
+        It adds no fork span, even on the binary-forking model (see
+        ``docs/cost_model.md``)."""
+        if n > self.peak_elements:
+            self.peak_elements = n
+        self.counter.charge(kind, -(-n // self._P))
+
+    def charge_scan(self, n: int, times: int = 1) -> None:
+        """One scan primitive (``times`` of them) over an ``n``-element
+        vector: the cross-processor scan for one-element blocks, else
+        Figure 10's serial scan within each block, cross-processor scan,
+        and the processor offset added back (``2b + cross``).  On the
+        forked model the tree sweep is computed on the fork/join walk
+        itself, so the scan pays exactly the EREW count and only the
+        ledger records the spawns."""
+        self._metric_scan_invocations.value += times
+        self._metric_scan_n.observe(n, times)
+        if not n:
+            self.counter.charge("scan", 0, times)
             return
-        block = self._block(n)
-        p = self._effective_p(n)
-        # On the forked model the tree sweep is computed on the fork/join
-        # walk itself, so the scan pays exactly the EREW count and only
-        # the ledger records the spawns.
-        self._fork_record(n)
-        if block <= 1:
-            cost = self._cross_scan_cost(p)
+        if n > self.peak_elements:
+            self.peak_elements = n
+        caps, P = self._capabilities, self._P
+        b = -(-n // P)
+        p = n if n < P else P
+        if caps.forked:
+            self._fork(n, times)
+        cross = 1 if caps.unit_scan or p <= 1 else 2 * (p - 1).bit_length()
+        self.counter.charge("scan", cross if b <= 1 else 2 * b + cross, times)
+
+    def _charge_fan(self, kind: str, n: int, one_step: bool) -> None:
+        """A broadcast- or reduce-shaped step: ``(b - 1) + cross`` with
+        ``cross`` one step where the model has the capability
+        (``one_step``), the fork span on the forked model (the mandatory
+        fork/join walk carries the value; concurrent reads do not skip
+        it), and a ``⌈lg p⌉`` tree otherwise."""
+        if not n:
+            self.counter.charge(kind, 0)
+            return
+        if n > self.peak_elements:
+            self.peak_elements = n
+        P = self._P
+        b = -(-n // P)
+        if self._capabilities.forked:
+            cross = self._fork(n) or 1
+        elif one_step:
+            cross = 1
         else:
-            # Figure 10: serial scan within each block, cross-processor scan,
-            # then add the processor offset back into each block.
-            cost = 2 * block + self._cross_scan_cost(p)
-        self.counter.charge("scan", cost)
+            cross = max(1, ((n if n < P else P) - 1).bit_length())
+        self.counter.charge(kind, b - 1 + cross if b > 1 else cross)
 
     def charge_broadcast(self, n: int) -> None:
         """One value distributed to ``n`` processors.
@@ -422,22 +488,9 @@ class Machine:
         Concurrent-read machines do this in one memory step; EREW needs a
         ``lg p`` copy tree; the scan model does it with one scan (Section 2.2).
         """
-        if n == 0:
-            self.counter.charge("broadcast", 0)
-            return
-        block = self._block(n)
-        p = self._effective_p(n)
-        if self.capabilities.forked:
-            # the value rides the fork tree down; the mandatory join walks
-            # back up — concurrent reads don't save the spawn
-            cross = self._spawn_span(n) or 1
-        elif self.capabilities.concurrent_read:
-            cross = 1
-        elif self.capabilities.unit_scan:
-            cross = 1
-        else:
-            cross = max(1, ceil_log2(p))
-        self.counter.charge("broadcast", (block - 1) + cross if block > 1 else cross)
+        caps = self._capabilities
+        self._charge_fan("broadcast", n,
+                         caps.concurrent_read or caps.unit_scan)
 
     def charge_reduce(self, n: int) -> None:
         """All elements combined to one value (+, max, min, or, and).
@@ -445,35 +498,8 @@ class Machine:
         One combining write on extended CRCW, one scan on the scan model, a
         ``lg p`` tree otherwise.
         """
-        if n == 0:
-            self.counter.charge("reduce", 0)
-            return
-        block = self._block(n)
-        p = self._effective_p(n)
-        if self.capabilities.forked:
-            # combining on the join half of the mandatory fork/join walk
-            cross = self._spawn_span(n) or 1
-        elif self.capabilities.combining_write:
-            cross = 1
-        elif self.capabilities.unit_scan:
-            cross = 1
-        else:
-            cross = max(1, ceil_log2(p))
-        self.counter.charge("reduce", (block - 1) + cross if block > 1 else cross)
-
-    def charge_combine_write(self, n: int) -> None:
-        """A scatter with possibly-colliding destinations where collisions
-        combine (min / arbitrary winner).  The paper's extended-CRCW write."""
-        if not self.capabilities.concurrent_write:
-            if not self.allow_concurrent_write:
-                raise CapabilityError(
-                    f"combining/concurrent write is illegal on the {self.model!r} "
-                    f"model; construct the Machine with allow_concurrent_write=True "
-                    f"to permit it (as the paper does for line drawing)"
-                )
-            self.concurrent_writes_used += 1
-        self.counter.charge("combine_write",
-                            self._block(n) + self._spawn_span(n))
+        caps = self._capabilities
+        self._charge_fan("reduce", n, caps.combining_write or caps.unit_scan)
 
     def charge_test_and_set(self, n: int, *, revoked: int = 0) -> None:
         """One atomic reservation step over ``n`` cells: every contender
@@ -494,16 +520,55 @@ class Machine:
             if revoked < 0:
                 raise ValueError(f"negative revoke count: {revoked}")
             self.fork_counters.bump("revoked", revoked)
-        if n == 0:
+        if not n:
             self.counter.charge("test_and_set", 0)
             return
-        block = self._block(n)
-        p = self._effective_p(n)
-        if self.capabilities.test_and_set:
-            cost = block + self._spawn_span(n)
+        if n > self.peak_elements:
+            self.peak_elements = n
+        caps, P = self._capabilities, self._P
+        b = -(-n // P)
+        if caps.test_and_set:
+            cost = b + (self._fork(n) if caps.forked else 0)
         else:
-            cost = block + (2 * ceil_log2(p) if p > 1 else 0)
+            p = n if n < P else P
+            cost = b + (2 * (p - 1).bit_length() if p > 1 else 0)
         self.counter.charge("test_and_set", cost)
+
+    # Segmented operations (Section 3.4): each charges its construction in
+    # one call, so an op's 2-9 steps are a handful of frames, not dozens.
+
+    def charge_segmented(self, n: int, *, scans: int,
+                         elementwise: int) -> None:
+        """One Section-3.4 construction over ``n`` elements: ``scans``
+        primitive scans, then ``elementwise`` elementwise steps."""
+        self.charge_scan(n, scans)
+        self.charge_elementwise(n, elementwise)
+
+    def charge_seg_copy(self, n: int) -> None:
+        """One per-segment head broadcast: a write plus a concurrent read
+        on CREW/CRCW (and binary-forking), the segmented max-scan
+        construction (2 scans + 3 elementwise) elsewhere."""
+        if self._capabilities.concurrent_read:
+            self.charge_block("memory", n)
+            self.charge_broadcast(n)
+        else:
+            self.charge_segmented(n, scans=2, elementwise=3)
+
+    def charge_seg_distribute(self, n: int) -> None:
+        """One per-segment reduce-and-spread.
+
+        On an extended CRCW it is one combining write into the segment's
+        cell plus a concurrent read back and the select (the O(1) step
+        Table 1's CRCW column uses); every other model pays the
+        Section-3.4 scan construction (4 scans + 5 elementwise).
+        """
+        caps = self._capabilities
+        if caps.combining_write and caps.concurrent_read:
+            self.charge_block("combine_write", n)
+            self.charge_broadcast(n)
+            self.charge_elementwise(n)
+        else:
+            self.charge_segmented(n, scans=4, elementwise=5)
 
     # ------------------------------------------------------------------ #
     # Vector factories

@@ -122,15 +122,21 @@ class Histogram:
         self.max: Optional[Number] = None
         self.buckets: Dict[int, int] = {}
 
-    def observe(self, value: Number) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: Number, times: int = 1) -> None:
+        """Record ``value`` ``times`` times (one update, same totals)."""
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        k = 0 if value <= 1 else math.ceil(math.log2(value))
-        self.buckets[k] = self.buckets.get(k, 0) + 1
+        if value <= 1:
+            k = 0
+        elif type(value) is int:
+            k = (value - 1).bit_length()  # exact ceil(lg value)
+        else:
+            k = math.ceil(math.log2(value))
+        self.buckets[k] = self.buckets.get(k, 0) + times
 
     @property
     def mean(self) -> float:
