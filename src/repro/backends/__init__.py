@@ -1,14 +1,15 @@
 """Pluggable execution backends for the machine's vector primitives.
 
 The cost model (:mod:`repro.machine`) decides what a primitive *charges*;
-a :class:`Backend` decides how it *computes*.  Four are shipped:
+a :class:`Backend` decides how it *computes*.  Five are shipped:
 
-* :class:`NumPyBackend` (``"numpy"``, the default) — one vectorized NumPy
-  expression per primitive, behavior- and step-identical to the
-  pre-backend code;
 * :class:`BlockedBackend` (``"blocked"`` / ``"blocked:<chunk>"``) —
   fixed-size chunks with carry propagation across chunk boundaries, the
   paper's Figure 10 long-vector schedule executed for real;
+* :class:`NumPyBackend` (``"numpy"``, the default) — whole-vector
+  execution, which is the blocked engine with one chunk that holds any
+  vector: one NumPy step per primitive, step-identical to the
+  pre-backend code;
 * :class:`DistributedBackend` (``"distributed"`` /
   ``"distributed:<workers>[:<min_n>]"``) — shards across supervised OS
   worker processes with shared memory, a round-efficient carry exchange,
@@ -33,14 +34,10 @@ from typing import Optional, Union
 
 from .base import Backend, OpEvent
 from .blocked import BlockedBackend
+from .distributed import DistributedBackend
 from .native import NativeBackend
 from .numpy_backend import NumPyBackend
 from .reference import ReferenceBackend
-
-# imported last: DistributedBackend subclasses NumPyBackend and pulls in
-# repro.cluster, which reaches back into repro.backends.numpy_backend —
-# fully initialized by this point in the module body
-from .distributed import DistributedBackend  # noqa: E402  (import order is load-bearing)
 
 __all__ = [
     "Backend",

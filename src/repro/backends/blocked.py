@@ -3,26 +3,27 @@
 The paper simulates a long vector on ``p`` physical processors by giving
 each processor a contiguous block and sweeping: serial scan within each
 block, one cross-block scan of the partial results, then add the block
-offset back in.  :class:`BlockedBackend` executes that schedule literally —
-every primitive walks the vector in fixed-size chunks, carrying the running
-sum / running extreme / open-segment state across chunk boundaries — so a
-vector is never *operated on* whole.  The four scans, eager or fused, are
-one loop (:meth:`BlockedBackend._sweep`) over the carry monoids of
-:mod:`repro.backends.carry`, the same ones the distributed workers run.
-Temporaries are bounded by the chunk size, which is what makes out-of-core
-vector lengths possible; output buffers are still materialized in full,
-as they are the operation's result.
+offset back in.  :class:`BlockedBackend` executes that schedule wherever
+chunking bounds a temporary: elementwise maps, the four scans, fused
+pipelines, ``pack``, ``reduce``, ``seg_copy``, ``seg_back_copy`` and
+``seg_distribute`` walk the vector in fixed-size chunks, carrying the
+running sum / extreme / open-segment state across chunk boundaries, so
+their temporaries never outgrow a chunk (``seg_back_copy`` and
+``seg_distribute`` also build an ``O(#segments)`` table, spread in
+chunks).  A vector of at most one chunk takes each of these in one
+whole-vector step.  Every other primitive allocates nothing but its
+result (``combine_write`` adds one ``bool`` mask), so it has one
+whole-vector body at every chunk size.  Whole-vector execution is thus
+the case of one chunk: :class:`~repro.backends.NumPyBackend` is this
+engine with a chunk that holds any vector.
 
-Bit-exactness: for integer and boolean vectors every result is
-bit-identical to :class:`~repro.backends.NumPyBackend` (integer addition
-is associative modulo 2^64, max/min are exactly associative).  Float
-``+``-scans may round differently from the whole-vector ``np.cumsum``,
-exactly as a real blocked machine would.
-
-Two table-driven segmented operations (``seg_back_copy``,
-``seg_distribute``) need per-segment lookahead, so they build an
-``O(#segments)`` table of per-segment results and then spread it in
-chunks; value temporaries stay chunk-bounded.
+The four scans, eager or fused, are one loop (:meth:`BlockedBackend._sweep`)
+over the carry monoids of :mod:`repro.backends.carry`, the same ones the
+distributed workers run; a one-chunk scan is the monoid's ``local``.
+Integer and boolean results are bit-identical at every chunk size
+(integer addition is associative modulo 2^64, max/min exactly
+associative); float ``+``-scans and segmented sums may round differently
+from the one-chunk case, exactly as a real blocked machine would.
 """
 from __future__ import annotations
 
@@ -31,13 +32,28 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .base import Backend
-from .carry import monoid
-from .numpy_backend import _SEG_REDUCERS, NumPyBackend
+from .carry import REDUCERS, SEG_REDUCERS, monoid
 
 __all__ = ["BlockedBackend"]
 
 #: default elements per chunk (a few hundred KB of int64 per temporary)
 DEFAULT_CHUNK = 65536
+
+#: the ops whose chunk loop bounds their temporaries
+_CHUNKED = frozenset({"elementwise", "plus_scan", "max_scan",
+                      "seg_plus_scan", "seg_extreme_scan", "pack", "reduce",
+                      "seg_copy", "seg_back_copy", "seg_distribute"})
+
+
+def _seg_ids(seg_flags: np.ndarray, first: int = 0) -> np.ndarray:
+    """Segment number of each element, counting from ``first``: the
+    inclusive ``+-scan`` of the flags plus ``first - 1``, built in one
+    int64 buffer in place (the offset rides on the first element)."""
+    ids = seg_flags.astype(np.int64)
+    if len(ids):
+        ids[0] += first - 1
+        np.add.accumulate(ids, out=ids)
+    return ids
 
 
 class BlockedBackend(Backend):
@@ -63,22 +79,26 @@ class BlockedBackend(Backend):
         if chunk < 1:
             raise ValueError(f"chunk size must be >= 1, got {chunk}")
         self.chunk = int(chunk)
-        # per-segment table operations reuse the whole-vector expressions
-        # on one chunk at a time
-        self._np = NumPyBackend()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockedBackend(chunk={self.chunk})"
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Chunk-bounded temporaries: working storage never exceeds one
-        chunk of the widest lane (8-byte words), regardless of vector
-        length — the figure a profiler should see drop when switching a
-        long-vector run from ``numpy`` to ``blocked``.  Fused pipelines
-        report the chain executor's own chunk-bounded accounting."""
+        """One rule for every chunk size: an op run in chunks never holds
+        more than one chunk of the widest lane (8-byte words), whatever
+        the vector's length; any other op holds the whole-vector
+        estimate.  The segmented extreme scan's doubling fallback
+        (floats, 64-bit extremes) holds 13/8 of that (a lane-sized copy,
+        two ``int16`` distance rows and a ``bool`` mask, measured at
+        1.65x on 8-byte lanes; the keyed branch needs under 1% on int64).
+        Fused pipelines report the chain executor's own accounting."""
         if op == "fused_pipeline":
             return super().temp_bytes(op, out_bytes)
-        return min(out_bytes, self.chunk * 8)
+        if op in _CHUNKED:
+            out_bytes = min(out_bytes, self.chunk * 8)
+        if op == "seg_extreme_scan":
+            return 13 * out_bytes // 8
+        return out_bytes
 
     def _spans(self, n: int) -> Iterator[tuple[int, int]]:
         for start in range(0, n, self.chunk):
@@ -101,9 +121,11 @@ class BlockedBackend(Backend):
 
     def _scan(self, op: str, values: np.ndarray, flags=None, identity=None,
               is_max: bool = False) -> np.ndarray:
+        algebra = monoid(op, values.dtype, identity, is_max)
+        if len(values) <= self.chunk:
+            return algebra.local(values, flags)[0]
         pieces = ((s, e, values[s:e]) for s, e in self._spans(len(values)))
-        return self._sweep(monoid(op, values.dtype, identity, is_max),
-                           pieces, np.empty_like(values), flags)
+        return self._sweep(algebra, pieces, np.empty_like(values), flags)
 
     # ------------------------ fused pipelines -------------------------- #
 
@@ -146,14 +168,11 @@ class BlockedBackend(Backend):
         return np.concatenate(pieces)
 
     def adjacent_ne(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(values), dtype=bool)
-        prev = None
-        for s, e in self._spans(len(values)):
-            seg = values[s:e]
-            out[s] = True if prev is None else bool(seg[0] != prev)
-            out[s + 1:e] = seg[1:] != seg[:-1]
-            prev = seg[-1]
-        return out
+        changed = np.empty(len(values), dtype=bool)
+        if len(values):
+            changed[0] = True
+            np.not_equal(values[1:], values[:-1], out=changed[1:])
+        return changed
 
     # ----------------------------- scans ------------------------------ #
 
@@ -168,47 +187,45 @@ class BlockedBackend(Backend):
     def permute(self, values: np.ndarray, index: np.ndarray, length: int,
                 default) -> np.ndarray:
         out = np.full(length, default, dtype=values.dtype)
-        for s, e in self._spans(len(values)):
-            out[index[s:e]] = values[s:e]
+        out[index] = values
         return out
 
     def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        out = np.empty(len(index), dtype=values.dtype)
-        for s, e in self._spans(len(index)):
-            out[s:e] = values[index[s:e]]
-        return out
+        return values[index]
 
     def combine_write(self, values: np.ndarray, index: np.ndarray,
                       length: int, op: str, default) -> np.ndarray:
-        if op == "min" or op == "max":
-            if np.issubdtype(values.dtype, np.integer):
-                info = np.iinfo(values.dtype)
-                sentinel = info.max if op == "min" else info.min
-            else:
-                sentinel = np.inf if op == "min" else -np.inf
-            ufunc = np.minimum if op == "min" else np.maximum
-            touched = np.zeros(length, dtype=bool)
-            tmp = np.full(length, sentinel, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                touched[index[s:e]] = True
-                ufunc.at(tmp, index[s:e], values[s:e])
-            return np.where(touched, tmp,
-                            np.asarray(default, dtype=values.dtype))
         if op == "sum":
-            tmp = np.zeros(length, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                np.add.at(tmp, index[s:e], values[s:e])
-            return tmp
+            out = np.zeros(length, dtype=values.dtype)
+            np.add.at(out, index, values)
+            return out
         if op == "any":
             out = np.full(length, default, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                out[index[s:e]] = values[s:e]
+            out[index] = values  # last writer wins: an arbitrary-winner write
             return out
-        raise ValueError(f"unknown combine op {op!r}")
+        if op != "min" and op != "max":
+            raise ValueError(f"unknown combine op {op!r}")
+        # reduce into a sentinel that never wins, then restore ``default``
+        # where nothing was written
+        if np.issubdtype(values.dtype, np.integer):
+            info = np.iinfo(values.dtype)
+            sentinel = info.max if op == "min" else info.min
+        else:
+            sentinel = np.inf if op == "min" else -np.inf
+        out = np.full(length, sentinel, dtype=values.dtype)
+        (np.minimum if op == "min" else np.maximum).at(out, index, values)
+        untouched = np.ones(length, dtype=bool)
+        untouched[index] = False
+        np.copyto(out, np.asarray(default, dtype=values.dtype),
+                  where=untouched)
+        return out
 
     def pack(self, values: np.ndarray, flags: np.ndarray,
              index: np.ndarray, count: int) -> np.ndarray:
         out = np.empty(count, dtype=values.dtype)
+        if len(values) <= self.chunk:
+            out[index[flags]] = values[flags]
+            return out
         for s, e in self._spans(len(values)):
             sel = flags[s:e]
             out[index[s:e][sel]] = values[s:e][sel]
@@ -217,14 +234,11 @@ class BlockedBackend(Backend):
     def shift(self, values: np.ndarray, k: int, fill) -> np.ndarray:
         n = len(values)
         out = np.full(n, fill, dtype=values.dtype)
-        # copy the surviving range chunk by chunk (one fixed-offset send)
         if k >= 0:
-            lo, span = k, n - k
-        else:
-            lo, span = 0, n + k
-        for s, e in self._spans(max(span, 0)):
-            out[lo + s:lo + e] = values[s - min(k, 0):e - min(k, 0)] \
-                if k < 0 else values[s:e]
+            if k < n:
+                out[k:] = values[: n - k]
+        elif -k < n:
+            out[: n + k] = values[-k:]
         return out
 
     def reverse(self, values: np.ndarray) -> np.ndarray:
@@ -236,22 +250,16 @@ class BlockedBackend(Backend):
         return np.full(length, value, dtype=dtype)
 
     def reduce(self, values: np.ndarray, op: str):
-        partials = [self._np.reduce(values[s:e], op)
-                    for s, e in self._spans(len(values))]
-        return self._np.reduce(np.array(partials), op)
+        reducer = REDUCERS[op]
+        if len(values) <= self.chunk:
+            return reducer(values)
+        return reducer(np.array([reducer(values[s:e])
+                                 for s, e in self._spans(len(values))]))
 
     # ---------------------------- segmented ---------------------------- #
 
     def segment_ids(self, seg_flags: np.ndarray) -> np.ndarray:
-        out = seg_flags.astype(np.int64)
-        carry = 0
-        for s, e in self._spans(len(seg_flags)):
-            # the chunk's running flag count, offset by the segments
-            # before it (folded into its first element), all in place
-            out[s] += carry - 1
-            np.add.accumulate(out[s:e], out=out[s:e])
-            carry = int(out[e - 1]) + 1
-        return out
+        return _seg_ids(seg_flags)
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
@@ -263,8 +271,8 @@ class BlockedBackend(Backend):
 
     def seg_copy(self, values: np.ndarray,
                  seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
+        if len(values) <= self.chunk:
+            return values[seg_flags.nonzero()[0]][_seg_ids(seg_flags)]
         out = np.empty_like(values)
         carry = values[0]  # the open segment's head value
         for s, e in self._spans(len(values)):
@@ -282,16 +290,28 @@ class BlockedBackend(Backend):
 
     def seg_back_copy(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
+        n = len(values)
+        if n == 0:
             return values.copy()
-        tails = self._segment_tails(values, seg_flags)
+        if n <= self.chunk:
+            # the element before each later head, and the vector's last
+            tails = np.append(seg_flags[1:].nonzero()[0], n - 1)
+            return values[tails][_seg_ids(seg_flags)]
+        before_heads = [values[np.flatnonzero(seg_flags[s:e]) + (s - 1)]
+                        for s, e in self._spans(n)]
+        # the first flag is always a head: drop its phantom predecessor
+        tails = np.concatenate(before_heads + [values[-1:]])[1:]
         return self._spread(tails, seg_flags)
 
     def seg_distribute(self, values: np.ndarray, seg_flags: np.ndarray,
                        op: str) -> np.ndarray:
         if len(values) == 0:
             return values.copy()
-        ufunc = _SEG_REDUCERS[op]
+        ufunc = SEG_REDUCERS[op]
+        if len(values) <= self.chunk:
+            per_segment = ufunc.reduceat(values, seg_flags.nonzero()[0])
+            return per_segment.astype(values.dtype,
+                                      copy=False)[_seg_ids(seg_flags)]
         parts: list[np.ndarray] = []
         carry = None  # reduction of the segment still open at the chunk end
         for s, e in self._spans(len(values)):
@@ -312,24 +332,13 @@ class BlockedBackend(Backend):
         return self._spread(per_segment.astype(values.dtype, copy=False),
                             seg_flags)
 
-    def _segment_tails(self, values: np.ndarray,
-                       seg_flags: np.ndarray) -> np.ndarray:
-        """Last value of each segment, one entry per segment: the element
-        before each head, and the vector's last one."""
-        before_heads = [values[np.flatnonzero(seg_flags[s:e]) + (s - 1)]
-                        for s, e in self._spans(len(values))]
-        # the first flag is always a head: drop its phantom predecessor
-        return np.concatenate(before_heads + [values[-1:]])[1:]
-
     def _spread(self, per_segment: np.ndarray,
                 seg_flags: np.ndarray) -> np.ndarray:
         """``out[i] = per_segment[segment_of(i)]``, chunk by chunk."""
         out = np.empty(len(seg_flags), dtype=per_segment.dtype)
-        carry = 0
+        first = 0
         for s, e in self._spans(len(seg_flags)):
-            ids = seg_flags[s:e].astype(np.int64)
-            ids[0] += carry - 1
-            np.add.accumulate(ids, out=ids)
+            ids = _seg_ids(seg_flags[s:e], first)
             out[s:e] = per_segment[ids]
-            carry = int(ids[-1]) + 1
+            first = int(ids[-1]) + 1
         return out

@@ -14,14 +14,15 @@ every rank's work from:
 * ``apply(out, flags, carry)`` — fold the carry entering a chunk into
   that chunk's ``local`` result, in place.
 
-The numpy engine's segmented scans (one chunk), the blocked engine's
-chunk loop, native's fallback (which *is* that loop), the distributed
-workers' two phases and the supervisor's carry exchange all look a
-monoid or kernel up here (:func:`monoid`), so the carry math and its
-conventions live here once.  Segmented carries are
-``(value, has_head)`` pairs: a head anywhere in a chunk resets the open
-segment, and ``apply`` only touches the chunk's leading run (the
-elements before its first head).
+The blocked engine's chunk loop (and its one-chunk step, which is the
+whole numpy engine), native without Numba (which *is* blocked), the
+distributed workers' two phases and the supervisor's carry exchange all
+look a monoid or kernel up here (:func:`monoid`), and the reductions up
+in :data:`REDUCERS` / :data:`SEG_REDUCERS`, so the carry math and its
+conventions live here once.  Segmented carries are ``(value, has_head)``
+pairs: a head anywhere in a chunk resets the open segment, and ``apply``
+only touches the chunk's leading run (the elements before its first
+head).
 
 :func:`seg_extreme_scan` is the segmented max/min chunk kernel, in O(n)
 work with no sort, and it has two branches chosen by one correctness
@@ -53,14 +54,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Monoid", "appended_keys", "block_carries", "doubling_scan",
-           "extreme_carry_out", "extreme_combine", "monoid",
-           "seg_extreme_scan"]
+__all__ = ["Monoid", "REDUCERS", "SEG_REDUCERS", "appended_keys",
+           "block_carries", "doubling_scan", "extreme_carry_out",
+           "extreme_combine", "monoid", "seg_extreme_scan"]
+
+#: ``reduce`` by op name, for a chunk's or shard's partial and for their
+#: combine: the ufunc reductions ``np.sum`` and friends wrap, called
+#: directly (``any``/``all`` reduce in bool, as those do)
+REDUCERS = {"sum": partial(np.add.reduce, axis=None),
+            "max": partial(np.maximum.reduce, axis=None),
+            "min": partial(np.minimum.reduce, axis=None),
+            "any": partial(np.logical_or.reduce, axis=None, dtype=bool),
+            "all": partial(np.logical_and.reduce, axis=None, dtype=bool)}
+
+#: ``seg_distribute``'s per-segment reduction by op name (``reduceat``)
+SEG_REDUCERS = {"sum": np.add, "max": np.maximum, "min": np.minimum,
+                "or": np.logical_or, "and": np.logical_and}
 
 #: a vector up to this long is scanned as a single row
 _ONE_ROW_MAX = 1024

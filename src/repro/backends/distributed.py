@@ -7,10 +7,10 @@ contiguous shard in shared memory, the five carry-bearing primitives
 (``plus_scan``, ``max_scan``, the segmented sum/extreme scans, and
 ``reduce``) run shard-locally in parallel, and per-shard carries meet in a
 round-efficient exclusive exchange.  Everything else — elementwise ops,
-permutations, the small-vector cases below ``min_distribute`` — inherits
-the in-process NumPy expressions from :class:`NumPyBackend`, because
-shipping a 100-element vector through shared memory buys nothing but
-latency.
+permutations, the small-vector cases below ``min_distribute`` — runs
+in-process as :class:`NumPyBackend` does (the blocked engine's one-chunk
+steps, with the same carry monoids the workers run), because shipping a
+100-element vector through shared memory buys nothing but latency.
 
 The supervision story (see :mod:`repro.cluster.pool` and
 ``docs/distributed.md``): worker failures are classified, retried with

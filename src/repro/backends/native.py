@@ -19,8 +19,10 @@ buffers (``_*_py`` below), driven by :func:`two_phase`, and compiled with
 Numba's ``@njit(parallel=True, cache=True)`` when Numba is importable:
 then the four scans and the fused terminal scan run the compiled kernels.
 Without Numba, :class:`NativeBackend` *is* :class:`BlockedBackend` with
-``chunk = block``: every op runs blocked's chunk loop over the shared
-carry monoids (:mod:`repro.backends.carry`).  The tests drive
+``chunk = block``: it overrides no op, so every op runs blocked's own
+code (its chunk loop over the shared carry monoids of
+:mod:`repro.backends.carry`, or its one-chunk step), frame for frame.
+The tests drive
 :func:`two_phase` with the plain-Python kernels on every host, so the
 arithmetic Numba compiles stays under test without Numba.
 
@@ -39,9 +41,10 @@ Selection: ``Machine(backend="native")``, ``native:<threads>``,
 ``native:<threads>:<block>`` (``threads=0`` means Numba's default), or
 ``REPRO_BACKEND=native``.  Observability: ``backend.native.ops`` counts
 primitives like every backend; ``native.kernel_launches`` counts compiled
-two-phase executions, ``native.fallback_ops`` the scans that ran
-blocked's loop instead, and the ``native.threads`` gauge reports the
-configured thread count.
+two-phase executions, ``native.fallback_ops`` the scans the compiled
+engine hands to blocked's code instead (bool lanes, vectors under two
+elements; none without Numba, where there is no compiled engine), and
+the ``native.threads`` gauge reports the configured thread count.
 """
 from __future__ import annotations
 
@@ -355,41 +358,43 @@ class NativeBackend(BlockedBackend):
                 f"mode={mode})")
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Blocked's chunk-bounded figure; a compiled scan adds its
-        per-block partials (two words per block)."""
+        """Blocked's figure; a compiled scan adds its per-block partials
+        (two words per block)."""
         temp = super().temp_bytes(op, out_bytes)
         if self.compiled and op in _SCANS:
             temp += 2 * max(1, out_bytes // max(1, self.block * 8)) * 8
         return temp
 
-    def _scan(self, op: str, values: np.ndarray, flags=None, identity=None,
-              is_max: bool = False) -> np.ndarray:
-        # bool lanes keep blocked's accumulate semantics (the machine
-        # widens bools before plus_scan anyway); under two elements there
-        # is nothing to sweep
-        if self.compiled and len(values) >= 2 and values.dtype.kind != "b":
-            self._launches.inc()
-            return two_phase(_JIT_KERNELS, op, values, flags, identity,
-                             is_max=is_max, block=self.block)
-        self._fallbacks.inc()
-        return super()._scan(op, values, flags, identity, is_max)
+    if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
+        # without Numba nothing is overridden: every op, scans included,
+        # is blocked's own, frame for frame
 
-    def fused_pipeline(self, plan) -> np.ndarray:
-        """Without Numba, blocked's chunked chain-and-sweep.  Compiled,
-        the chain is evaluated one block at a time into one full-length
-        buffer (:meth:`~repro.backends.plan.FusedPlan.evaluate`) and the
-        terminal scan runs as the ordinary two-phase sweep over it, so
-        fused results are bit-identical to eager native execution."""
-        if plan.terminal is None or not self.compiled:
-            if plan.terminal is not None:
-                self._fallbacks.inc()
-            return super().fused_pipeline(plan)
-        n = plan.n
-        itemsize = max(1, plan.root_dtype.itemsize)
-        root = plan.evaluate(self.block)
-        # the chain's block-sized intermediates + the materialized scan
-        # input + the per-block partials
-        self._fused_temp = (len(plan.steps) * min(n, self.block) * itemsize
-                            + root.nbytes
-                            + 2 * _nblocks(n, self.block) * itemsize)
-        return self._scan(plan.terminal, root, None, *plan.terminal_args)
+        def _scan(self, op: str, values: np.ndarray, flags=None,
+                  identity=None, is_max: bool = False) -> np.ndarray:
+            # bool lanes keep blocked's accumulate semantics (the machine
+            # widens bools before plus_scan anyway); under two elements
+            # there is nothing to sweep
+            if len(values) >= 2 and values.dtype.kind != "b":
+                self._launches.inc()
+                return two_phase(_JIT_KERNELS, op, values, flags, identity,
+                                 is_max=is_max, block=self.block)
+            self._fallbacks.inc()
+            return super()._scan(op, values, flags, identity, is_max)
+
+        def fused_pipeline(self, plan) -> np.ndarray:
+            """The chain is evaluated one block at a time into one
+            full-length buffer (:meth:`~repro.backends.plan.FusedPlan.evaluate`)
+            and the terminal scan runs as the ordinary two-phase sweep over
+            it, so fused results are bit-identical to eager native
+            execution.  A chain with no terminal is blocked's."""
+            if plan.terminal is None:
+                return super().fused_pipeline(plan)
+            n = plan.n
+            itemsize = max(1, plan.root_dtype.itemsize)
+            root = plan.evaluate(self.block)
+            # the chain's block-sized intermediates + the materialized scan
+            # input + the per-block partials
+            self._fused_temp = (len(plan.steps) * min(n, self.block)
+                                * itemsize + root.nbytes
+                                + 2 * _nblocks(n, self.block) * itemsize)
+            return self._scan(plan.terminal, root, None, *plan.terminal_args)

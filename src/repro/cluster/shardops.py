@@ -26,8 +26,7 @@ import zlib
 
 import numpy as np
 
-from ..backends.carry import monoid
-from ..backends.numpy_backend import _REDUCERS
+from ..backends.carry import REDUCERS, monoid
 
 __all__ = [
     "carry_bytes",
@@ -97,10 +96,10 @@ def plus_carry_combine(dtype):
 
 def reduce_shard(values: np.ndarray, op: str):
     """One shard's partial reduction (``sum``/``max``/``min``/``any``/``all``)."""
-    return _REDUCERS[op](values)
+    return REDUCERS[op](values)
 
 
 def reduce_combine(partials, op: str):
     """Combine per-shard partials exactly as the blocked backend does:
     a second reduction over the array of partials."""
-    return _REDUCERS[op](np.array(partials))
+    return REDUCERS[op](np.array(partials))

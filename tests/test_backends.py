@@ -566,7 +566,7 @@ class TestBlockedCarries:
         _, peak_blocked = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        m_np = Machine("scan")
+        m_np = Machine("scan", backend="numpy")
         v = m_np.vector(data)
         tracemalloc.start()
         v._unary(fn).data
@@ -574,3 +574,25 @@ class TestBlockedCarries:
         tracemalloc.stop()
 
         assert peak_blocked < peak_numpy / 2
+
+    @pytest.mark.parametrize("op", ["min", "max", "sum", "any"])
+    def test_combine_write_estimate_covers_its_buffers(self, op):
+        """``combine_write`` has one whole-vector body at every chunk
+        size: its ``length``-sized buffers beside the result (min/max's
+        untouched mask) are not chunk-bounded, so neither is its
+        ``temp_bytes`` estimate, at ``n`` far past the chunk."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        length, n = 100_000, 200_000
+        values = rng.integers(-50, 50, n)
+        index = rng.integers(0, length, n)
+        b = BlockedBackend(chunk=1_024)
+        tracemalloc.start()
+        out = b.combine_write(values, index, length, op, 7)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        estimate = b.temp_bytes("combine_write", out.nbytes)
+        assert peak - out.nbytes <= estimate
+        if op in ("min", "max"):
+            assert estimate >= length  # the bool mask, one byte a cell

@@ -8,6 +8,9 @@ own Python frames do not count, so numpy versions do not matter) on a
 numpy scan machine at n = 256.  ``BEFORE`` is each primitive's count
 when every charge still walked its per-call formulas (395 frames in
 all); none may grow back past it, and the total must stay within half.
+Numpy is the blocked engine with one unbounded chunk, and a short vector
+takes blocked's one-chunk step, so ``blocked`` and ``native`` (eager,
+without Numba) must spend exactly numpy's frames on every primitive.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import Machine
+from repro.backends.native import HAVE_NUMBA
 from repro.core import ops, scans, segmented
 from repro.observe import profile
 from repro.observe.metrics import registry
@@ -26,6 +30,9 @@ BEFORE = {"v+1": 16, "v<5": 17, "where": 20, "plus_scan": 22,
           "plus_reduce": 15, "permute": 20, "pack": 95,
           "seg_plus_scan": 63, "seg_min_distribute": 76, "seg_copy": 51}
 TOTAL_BUDGET = sum(BEFORE.values()) // 2
+#: numpy's total once it became the one-chunk blocked engine (each scan
+#: pays one ``_scan`` frame over the deleted whole-vector bodies)
+NUMPY_TOTAL = 155
 
 _PACKAGE = os.sep + "repro" + os.sep
 
@@ -70,12 +77,16 @@ def _frames(fn) -> int:
     return count
 
 
-@pytest.fixture(scope="module")
-def frame_counts() -> dict:
-    prims = _primitives(Machine("scan", backend="numpy"))
+def _frame_counts(backend: str) -> dict:
+    prims = _primitives(Machine("scan", backend=backend, fusion=False))
     for fn in prims.values():  # warm caches (carry monoids, imports)
         fn()
     return {name: _frames(fn) for name, fn in prims.items()}
+
+
+@pytest.fixture(scope="module")
+def frame_counts() -> dict:
+    return _frame_counts("numpy")
 
 
 @pytest.mark.parametrize("name", sorted(BEFORE))
@@ -86,6 +97,16 @@ def test_no_primitive_grows_past_its_old_frame_count(frame_counts, name):
 def test_frame_total_is_within_half_the_old_path(frame_counts):
     total = sum(frame_counts.values())
     assert total <= TOTAL_BUDGET, (total, frame_counts)
+    assert total <= NUMPY_TOTAL, (total, frame_counts)
+
+
+@pytest.mark.parametrize("backend", [
+    "blocked",
+    pytest.param("native", marks=pytest.mark.skipif(
+        HAVE_NUMBA, reason="the compiled scans take their own path")),
+])
+def test_chunked_engines_match_numpy_frame_for_frame(frame_counts, backend):
+    assert _frame_counts(backend) == frame_counts
 
 
 def test_observers_attached_after_construction_see_every_op():

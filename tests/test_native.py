@@ -266,17 +266,24 @@ class TestMachineIntegration:
                 == charges("numpy"))
 
     def test_metrics_count_fallback_and_launches(self):
+        """Compiled, a scan over two or more non-bool elements is one
+        kernel launch (a fused terminal too), and a shorter one falls
+        back to blocked's loop.  Without Numba native *is* blocked, with
+        no native hook on any op, so neither counter moves."""
         from repro.observe.metrics import registry
 
-        counter = registry.counter("native.kernel_launches" if HAVE_NUMBA
-                                   else "native.fallback_ops")
+        launches = registry.counter("native.kernel_launches")
+        fallbacks = registry.counter("native.fallback_ops")
+        step = 1 if HAVE_NUMBA else 0
         nat = NativeBackend(block=8)
-        before = counter.value
+        before = launches.value, fallbacks.value
         nat.plus_scan(np.arange(32, dtype=np.int64))
-        assert counter.value == before + 1
+        assert launches.value == before[0] + step
         m = Machine("scan", backend=nat, fusion=True)
         scans.plus_scan(m.vector(list(range(32))) * 2)  # a fused terminal
-        assert counter.value == before + 2
+        assert launches.value == before[0] + 2 * step
+        nat.plus_scan(np.arange(1, dtype=np.int64))  # nothing to sweep
+        assert fallbacks.value == before[1] + step
 
     def test_temp_bytes_is_block_bounded(self):
         nat = NativeBackend(block=1024)
