@@ -27,3 +27,7 @@ class TestCompositePinsBlocked(pins.TestCompositePins):
 
 class TestAlgorithmPinsBlocked(pins.TestAlgorithmPins):
     pass
+
+
+class TestIdiomPinsBlocked(pins.TestIdiomPins):
+    pass
