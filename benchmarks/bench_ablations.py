@@ -18,7 +18,7 @@ import pytest
 from repro import Machine
 from repro.algorithms import connected_components, minimum_spanning_tree
 from repro.baselines import shiloach_vishkin_components
-from repro.graph import from_edges, random_connected_graph, star_merge
+from repro.graph import from_edges, random_connected_graph, random_mate
 from repro.hardware import (
     segmented_scan_cycles,
     simulated_segmented_scan_cycles,
@@ -138,30 +138,15 @@ def test_ablation_random_mate_rate(benchmark):
     m = Machine("scan", seed=5)
     g = from_edges(m, n, edges, weights=weights)
     counts = [g.num_vertices]
-    # replicate the MST loop once, recording sizes
-    from repro.core import segmented
-    from repro.core.vector import Vector
+    # replay the MST's rounds once, recording sizes
     rounds = 0
     while g.num_slots > 0 and rounds < 100:
         rounds += 1
-        nv = g.num_vertices
-        coin_parent = Vector(m, m.rng.integers(0, 2, size=nv).astype(bool))
-        w = g.slot_data["weight"]
-        eid = g.slot_data["edge_id"]
-        key = w * (2 * len(edges)) + eid
-        mn = segmented.seg_min_distribute(key, g.seg_flags)
-        candidate = key == mn
-        parent_slot = g.vertex_to_slots(coin_parent)
-        other_is_parent = parent_slot.permute(g.cross_pointers)
-        child_star = candidate & ~parent_slot & other_is_parent
-        has_star = g.slots_to_vertex(
-            segmented.seg_or_distribute(child_star, g.seg_flags))
-        merging_parent = coin_parent | ~has_star
-        if not child_star.data.any():
-            continue
-        star = child_star | child_star.permute(g.cross_pointers)
-        g = star_merge(g, star, merging_parent, validate=False).graph
-        counts.append(g.num_vertices)
+        key = g.slot_data["weight"] * (2 * len(edges)) + g.slot_data["edge_id"]
+        _, merge = random_mate(g, key)
+        if merge is not None:
+            g = merge.graph
+            counts.append(g.num_vertices)
 
     shrink = [1 - b / a for a, b in zip(counts, counts[1:]) if a > 8]
     mean_shrink = float(np.mean(shrink)) if shrink else 0.0

@@ -28,7 +28,7 @@ from .._util import ceil_log2
 from ..core import ops, segmented
 from ..core.vector import Vector
 from ..machine.model import Machine
-from .kd_tree import _sort_order
+from .kd_tree import _flags_after_split, _sort_order
 
 __all__ = ["closest_pair", "ClosestPairResult"]
 
@@ -108,9 +108,9 @@ def closest_pair(machine: Machine, points, *,
         side_y = side_by_id.gather(y_ids) > 0
 
         x_ids = segmented.seg_split(x_ids, side, flags_x)
-        flags_x = _split_flags(side, flags_x)
+        flags_x = _flags_after_split(side, flags_x)
         y_ids = segmented.seg_split(y_ids, side_y, flags_y)
-        flags_y = _split_flags(side_y, flags_y)
+        flags_y = _flags_after_split(side_y, flags_y)
 
     # ---- bottom: pairwise distances within <= 3-point segments ----------- #
     ydata = y_ids.data
@@ -171,19 +171,6 @@ def closest_pair(machine: Machine, points, *,
     winner = best_pair[int(np.argmin(delta_arr))]
     i, j = int(winner[0]), int(winner[1])
     return ClosestPairResult(distance_sq=best, pair=(min(i, j), max(i, j)))
-
-
-def _split_flags(side: Vector, sf: Vector) -> Vector:
-    m = side.machine
-    moved = segmented.seg_split(side.astype(np.int64), side, sf)
-    m.charge_permute(len(side))
-    m.charge_elementwise(len(side))
-    lab = moved.data
-    nf = np.empty(len(lab), dtype=bool)
-    if len(lab):
-        nf[0] = True
-        nf[1:] = lab[1:] != lab[:-1]
-    return Vector(m, nf | sf.data)
 
 
 def _probe_neighbors(machine: Machine, p: np.ndarray, ids: np.ndarray,

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import ceil_log2
-from ..core import segmented
-from ..core.vector import Vector
 from ..graph.build import from_edges
-from ..graph.star_merge import star_merge
+from ..graph.star_merge import random_mate
 from ..machine.model import Machine
 from .forest import rootfix
 
@@ -69,27 +67,13 @@ def connected_components(machine: Machine, n_vertices: int, edges,
         if rounds >= max_rounds:
             raise RuntimeError(f"components did not contract in {max_rounds} rounds")
         rounds += 1
-        nv = g.num_vertices
-        machine.charge_elementwise(nv)
-        coin_parent = Vector(machine, machine.rng.integers(0, 2, size=nv).astype(bool))
-
-        # any incident edge will do: take the minimum edge id for uniqueness
-        eid = g.slot_data["edge_id"]
-        mn = segmented.seg_min_distribute(eid, g.seg_flags)
-        candidate = eid == mn
-        parent_slot = g.vertex_to_slots(coin_parent)
-        other_is_parent = parent_slot.permute(g.cross_pointers)
-        child_star = candidate & ~parent_slot & other_is_parent
-        has_star = g.slots_to_vertex(
-            segmented.seg_or_distribute(child_star, g.seg_flags))
-        merging_parent = coin_parent | ~has_star
-        if not child_star.data.any():
+        # any incident edge will do: the minimum edge id is unique
+        _, merge = random_mate(g, g.slot_data["edge_id"])
+        if merge is None:
             continue
-        star = child_star | child_star.permute(g.cross_pointers)
-        result = star_merge(g, star, merging_parent, validate=False)
-        for child_rep, parent_rep in result.merged_pairs:
+        for child_rep, parent_rep in merge.merged_pairs:
             parent[child_rep] = parent_rep
-        g = result.graph
+        g = merge.graph
 
     labels = rootfix(machine, parent)
     return ComponentsResult(

@@ -140,16 +140,13 @@ def convex_hull(machine: Machine, points, *, max_rounds: int | None = None) -> H
             [ops.pack(v, survivors) for v in moved]
 
         if len(cx):
-            # a new segment starts where the (segment, class) pair changes
             old_seg = segmented.segment_ids(flags).permute(perm)
             seg_packed = ops.pack(old_seg, survivors)
-            m.charge_permute(len(cx))
-            m.charge_elementwise(len(cx))
-            a = seg_packed.data * 4 + labelv.data
-            nf = np.empty(len(a), dtype=bool)
-            nf[0] = True
-            nf[1:] = a[1:] != a[:-1]
-            flags = Vector(m, nf)
+            # a new segment starts where the (segment, class) pair changes;
+            # the pair is packed into one key (the class fits in two bits)
+            # as part of the compare's elementwise step
+            pair = Vector(m, seg_packed.data * 4 + labelv.data)
+            flags = segmented.seg_flag_from_neighbor_change(pair)
         else:
             flags = Vector(m, np.empty(0, dtype=bool))
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._util import ceil_log2
-from ..core import segmented
-from ..core.vector import Vector
 from ..graph.build import from_edges
 from ..machine.model import Machine
 
@@ -53,19 +51,8 @@ def rootfix(machine: Machine, parent: np.ndarray) -> np.ndarray:
     g = from_edges(machine, len(involved), edges)
 
     sf = g.seg_flags.data
-    cp = g.cross_pointers.data
     ns = g.num_slots
-    idx = np.arange(ns, dtype=np.int64)
-
-    # the slot after me in my segment, cyclically (O(1) segmented steps)
-    head_pos = segmented.seg_copy(Vector(machine, idx), g.seg_flags).data
-    seg_len = segmented.seg_plus_distribute(
-        Vector(machine, np.ones(ns, dtype=np.int64)), g.seg_flags).data
-    machine.charge_elementwise(ns)
-    last_in_seg = idx - head_pos + 1 == seg_len
-    nxt_in_seg = np.where(last_in_seg, head_pos, idx + 1)
-    machine.charge_block("gather", ns)  # cp at unique indices
-    succ = cp[nxt_in_seg]
+    succ = g.euler_successor()
 
     # break each tour at its root's head slot and seed the terminal with
     # the root id

@@ -136,14 +136,5 @@ def _flags_after_split(side: Vector, sf: Vector) -> Vector:
     """Segment flags after a stable two-way split: a segment begins at each
     old head and where the side label flips (ride the labels through the
     same split, then mark changes)."""
-    m = side.machine
     moved = segmented.seg_split(side.astype(np.int64), side, sf)
-    m.charge_permute(len(side))
-    m.charge_elementwise(len(side))
-    lab = moved.data
-    old_heads = sf.data
-    nf = np.empty(len(lab), dtype=bool)
-    if len(lab):
-        nf[0] = True
-        nf[1:] = lab[1:] != lab[:-1]
-    return Vector(m, nf | old_heads)
+    return segmented.seg_flag_from_neighbor_change(moved, sf)

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import ceil_log2
-from ..core import segmented
-from ..core.vector import Vector
 from ..graph.build import from_edges
-from ..graph.star_merge import star_merge
+from ..graph.star_merge import random_mate
 from ..machine.model import Machine
 from ..observe.spans import span
 
@@ -74,43 +72,17 @@ def minimum_spanning_tree(machine: Machine, n_vertices: int, edges, weights,
             )
         rounds += 1
         with span(f"round[{rounds}]"):
-            nv = g.num_vertices
-            m = machine
-
-            # coin flip: parent or child (one elementwise step over the
-            # vertices)
-            m.charge_elementwise(nv)
-            coin_parent = Vector(m, m.rng.integers(0, 2, size=nv).astype(bool))
-
             # each tree's minimum incident edge, keyed uniquely
-            w = g.slot_data["weight"]
             eid = g.slot_data["edge_id"]
-            key = w * (2 * n_edges) + eid
-            mn = segmented.seg_min_distribute(key, g.seg_flags)
-            candidate = key == mn
-
-            # a child's candidate edge is a star edge iff the other end is
-            # a parent tree
-            parent_slot = g.vertex_to_slots(coin_parent)
-            other_is_parent = parent_slot.permute(g.cross_pointers)
-            child_star = candidate & ~parent_slot & other_is_parent
-
-            # trees that failed to mate stay put this round: treat as
-            # parents
-            has_star = g.slots_to_vertex(
-                segmented.seg_or_distribute(child_star, g.seg_flags))
-            merging_parent = coin_parent | ~has_star
-
-            if not child_star.data.any():
+            key = g.slot_data["weight"] * (2 * n_edges) + eid
+            child_star, merge = random_mate(g, key)
+            if merge is None:
                 continue  # unlucky coins; try again
 
             # the chosen edges are MST edges (cut property); record them
             machine.charge_block("permute", g.num_slots)
             selected.append(eid.data[child_star.data].copy())
-
-            star = child_star | child_star.permute(g.cross_pointers)
-            result = star_merge(g, star, merging_parent, validate=False)
-            g = result.graph
+            g = merge.graph
 
     edge_ids = (np.unique(np.concatenate(selected))
                 if selected else np.empty(0, dtype=np.int64))

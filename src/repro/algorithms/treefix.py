@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import segmented
 from ..core.vector import Vector
 from ..graph.build import from_edges
 from ..machine.model import Machine
@@ -238,33 +237,9 @@ def root_tree_edges(machine: Machine, n: int, edges, root: int = 0) -> np.ndarra
                          f"got {len(edges)}")
     if n == 1:
         return np.array([root], dtype=np.int64)
-    g = from_edges(machine, n, edges)
-    sf = g.seg_flags.data
+    g, vertex_of_slot, pos = _euler_tour(machine, n, edges, root)
     cp = g.cross_pointers.data
     ns = g.num_slots
-    idx = np.arange(ns, dtype=np.int64)
-
-    head_pos = segmented.seg_copy(Vector(machine, idx), g.seg_flags).data
-    seg_len = segmented.seg_plus_distribute(
-        Vector(machine, np.ones(ns, dtype=np.int64)), g.seg_flags).data
-    machine.charge_elementwise(ns)
-    last = idx - head_pos + 1 == seg_len
-    nxt_in_seg = np.where(last, head_pos, idx + 1)
-    machine.charge_block("gather", ns)
-    succ = cp[nxt_in_seg]
-
-    seg_id = np.cumsum(sf) - 1
-    vertex_of_slot = g.vertex_reps[seg_id]
-    root_head = sf & (vertex_of_slot == root)
-    h_r = int(np.flatnonzero(root_head)[0])
-    start_flag = np.zeros(ns, dtype=bool)
-    start_flag[cp[h_r]] = True
-    machine.charge_block("gather", ns)
-    nxt = np.where(start_flag[succ], -1, succ)
-
-    rank = list_rank(Vector(machine, nxt)).data
-    machine.charge_elementwise(ns)
-    pos = (ns - 1) - rank
     machine.charge_block("gather", ns)
     is_down_slot = pos < pos[cp]  # first visit of the edge
 
@@ -295,40 +270,10 @@ def build_rooted_tree(machine: Machine, parent) -> RootedTree:
 
     child = np.flatnonzero(parent != np.arange(n))
     edges = np.column_stack((child, parent[child]))
-    g = from_edges(machine, n, edges)
-    sf = g.seg_flags.data
+    g, vertex_of_slot, pos = _euler_tour(machine, n, edges, root)
     cp = g.cross_pointers.data
     ns = g.num_slots
-    idx = np.arange(ns, dtype=np.int64)
-
-    # Euler successor: leave through the next slot in my segment
-    head_pos = segmented.seg_copy(Vector(machine, idx), g.seg_flags).data
-    seg_len = segmented.seg_plus_distribute(
-        Vector(machine, np.ones(ns, dtype=np.int64)), g.seg_flags).data
-    machine.charge_elementwise(ns)
-    last = idx - head_pos + 1 == seg_len
-    nxt_in_seg = np.where(last, head_pos, idx + 1)
-    machine.charge_block("gather", ns)
-    succ = cp[nxt_in_seg]
-
-    # the canonical tour starts with the root's first departure — the down
-    # edge arriving at its first child, i.e. the cross-pointer of the
-    # root's head slot; break the cycle just before that arrival
-    seg_id = np.cumsum(sf) - 1
-    vertex_of_slot = g.vertex_reps[seg_id]
-    machine.charge_elementwise(ns)
-    root_head = sf & (vertex_of_slot == root)
-    h_r = int(np.flatnonzero(root_head)[0])
-    start_flag = np.zeros(ns, dtype=bool)
-    start_flag[cp[h_r]] = True
-    machine.charge_block("gather", ns)
-    terminal = start_flag[succ]
-    nxt = np.where(terminal, -1, succ)
-
-    # tour positions via list ranking (distance to the tour's end)
-    rank = list_rank(Vector(machine, nxt)).data
-    machine.charge_elementwise(ns)
-    pos = (ns - 1) - rank
+    machine.charge_elementwise(ns)  # the tour's root-head test
 
     # each slot is an *arrival*: a down edge iff the arriving vertex's
     # parent sits at the other end
@@ -355,3 +300,29 @@ def build_rooted_tree(machine: Machine, parent) -> RootedTree:
     return RootedTree(machine=machine, n=n, root=root, parent=parent,
                       tour_len=ns, down_pos=down_pos, up_pos=up_pos,
                       down_vertex=down_vertex, is_down=is_down)
+
+
+def _euler_tour(machine: Machine, n: int, edges: np.ndarray, root: int):
+    """Lay out the tree on ``n`` vertices given by ``edges`` as its Euler
+    tour from ``root``.  Returns the segmented graph, each slot's vertex,
+    and each slot's tour position (radix-sort build, O(1) successor,
+    O(lg n) list ranking)."""
+    g = from_edges(machine, n, edges)
+    sf = g.seg_flags.data
+    ns = g.num_slots
+    succ = g.euler_successor()
+
+    # the canonical tour starts with the root's first departure — the down
+    # edge arriving at its first child, i.e. the cross-pointer of the
+    # root's head slot; break the cycle just before that arrival
+    vertex_of_slot = g.vertex_reps[np.cumsum(sf) - 1]
+    h_r = int(np.flatnonzero(sf & (vertex_of_slot == root))[0])
+    start_flag = np.zeros(ns, dtype=bool)
+    start_flag[g.cross_pointers.data[h_r]] = True
+    machine.charge_block("gather", ns)
+    nxt = np.where(start_flag[succ], -1, succ)
+
+    # tour positions via list ranking (distance to the tour's end)
+    rank = list_rank(Vector(machine, nxt)).data
+    machine.charge_elementwise(ns)
+    return g, vertex_of_slot, (ns - 1) - rank

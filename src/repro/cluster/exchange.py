@@ -14,9 +14,11 @@ machine would pay.
 The doubling recurrence computes the *inclusive* prefix; the exclusive
 result is read off by shifting through the identity, which is how Träff
 derives Exscan from Scan without an extra communication round.  The
-combine is any associative monoid — ``shardops`` supplies one per
-distributed primitive (wrapping ``+``, NaN-propagating max/min, and the
-segmented ``(value, has_head)`` pairs).
+combine is any associative monoid; the distributed scans pass the carry
+monoids of :mod:`repro.backends.carry` (``carry.monoid``): wrapping ``+``,
+max (``np.maximum``, which propagates NaN), and the segmented
+``(value, has_head)`` pairs of the segmented sum and of the segmented
+max / min (min combines with ``np.fmin``, which passes over NaN).
 """
 from __future__ import annotations
 

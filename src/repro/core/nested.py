@@ -207,14 +207,15 @@ class SegmentedVector:
         new_values = ops.pack(self.values, keep)
         seg_ids = segmented.segment_ids(self.seg_flags)
         surviving_ids = ops.pack(seg_ids, keep)
-        m.charge_permute(max(len(new_values), 1))
-        m.charge_elementwise(max(len(new_values), 1))
-        ids = surviving_ids.data
-        nf = np.empty(len(ids), dtype=bool)
-        if len(ids):
-            nf[0] = True
-            nf[1:] = ids[1:] != ids[:-1]
-        return SegmentedVector(new_values, Vector(m, nf))
+        if len(new_values):
+            return SegmentedVector(
+                new_values, segmented.seg_flag_from_neighbor_change(surviving_ids))
+        # an empty result has no neighbours to compare; the flag rebuild is
+        # still charged as a one-element shift and compare (a floor of one,
+        # as flags_from_lengths charges its permute)
+        m.charge_permute(1)
+        m.charge_elementwise(1)
+        return SegmentedVector(new_values, Vector(m, np.empty(0, dtype=bool)))
 
     def concat_segments(self, other: "SegmentedVector") -> "SegmentedVector":
         """Append the other nested vector's segments after this one's."""

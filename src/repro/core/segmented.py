@@ -225,41 +225,28 @@ def _reverse_segment_flags(sf: np.ndarray) -> np.ndarray:
     return ends[::-1]
 
 
+def _seg_backward(forward, values: Vector, seg_flags: Vector, **kw) -> Vector:
+    """Run the forward segmented scan ``forward`` from each segment's end
+    to its start: reverse, scan, reverse (two extra permute steps)."""
+    check_segment_flags(values, seg_flags)
+    rsf = Vector._adopt(values.machine, _reverse_segment_flags(seg_flags.data))
+    return forward(values.reverse(), rsf, **kw).reverse()
+
+
 def seg_back_plus_scan(values: Vector, seg_flags: Vector) -> Vector:
     """Segmented exclusive ``+-scan`` running from each segment's end to its
-    start (two extra permute steps for the reversals)."""
-    check_segment_flags(values, seg_flags)
-    m = values.machine
-    m.charge_permute(len(values))
-    rsf = Vector._adopt(m, _reverse_segment_flags(seg_flags.data))
-    rv = Vector._adopt(m, m.execute("reverse", values.data))
-    out = seg_plus_scan(rv, rsf)
-    m.charge_permute(len(values))
-    return Vector._adopt(m, m.execute("reverse", out.data))
+    start."""
+    return _seg_backward(seg_plus_scan, values, seg_flags)
 
 
 def seg_back_max_scan(values: Vector, seg_flags: Vector, identity=None) -> Vector:
     """Backward segmented ``max-scan``."""
-    check_segment_flags(values, seg_flags)
-    m = values.machine
-    m.charge_permute(len(values))
-    rsf = Vector._adopt(m, _reverse_segment_flags(seg_flags.data))
-    rv = Vector._adopt(m, m.execute("reverse", values.data))
-    out = seg_max_scan(rv, rsf, identity=identity)
-    m.charge_permute(len(values))
-    return Vector._adopt(m, m.execute("reverse", out.data))
+    return _seg_backward(seg_max_scan, values, seg_flags, identity=identity)
 
 
 def seg_back_min_scan(values: Vector, seg_flags: Vector, identity=None) -> Vector:
     """Backward segmented ``min-scan``."""
-    check_segment_flags(values, seg_flags)
-    m = values.machine
-    m.charge_permute(len(values))
-    rsf = Vector._adopt(m, _reverse_segment_flags(seg_flags.data))
-    rv = Vector._adopt(m, m.execute("reverse", values.data))
-    out = seg_min_scan(rv, rsf, identity=identity)
-    m.charge_permute(len(values))
-    return Vector._adopt(m, m.execute("reverse", out.data))
+    return _seg_backward(seg_min_scan, values, seg_flags, identity=identity)
 
 
 # --------------------------------------------------------------------- #
@@ -385,15 +372,21 @@ def seg_split3(values: Vector, lesser: Vector, equal: Vector, seg_flags: Vector)
     return values.permute(local + head_pos)
 
 
-def seg_flag_from_neighbor_change(values: Vector, seg_flags: Vector) -> Vector:
+def seg_flag_from_neighbor_change(values: Vector,
+                                  seg_flags: Vector | None = None) -> Vector:
     """New segment flags marking positions whose value differs from the
-    previous element's (within a segment) — Step 4 of quicksort: knowing the
-    pivot comparison class of each element, a new segment begins wherever the
-    class changes.  Old segment boundaries are kept."""
-    check_segment_flags(values, seg_flags)
+    previous element's — Step 4 of quicksort: knowing the pivot comparison
+    class of each element, a new segment begins wherever the class changes.
+    Old segment boundaries, if given, are kept; without them the first
+    element alone begins a segment besides the changes (the flags of a
+    vector sorted or packed by segment number).  One shift to the right
+    neighbour plus one compare."""
+    if seg_flags is not None:
+        check_segment_flags(values, seg_flags)
     m = values.machine
-    m.charge_permute(len(values))  # shift by one: a send to the right neighbor
+    m.charge_permute(len(values))
     m.charge_elementwise(len(values))
-    changed = m.execute("adjacent_ne", values.data)
-    out = m.execute("elementwise", np.logical_or, changed, seg_flags.data)
+    out = m.execute("adjacent_ne", values.data)
+    if seg_flags is not None:
+        out = m.execute("elementwise", np.logical_or, out, seg_flags.data)
     return Vector._adopt(m, out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util import ceil_log2
+from ..core.segmented import seg_flag_from_neighbor_change
 from ..core.vector import Vector
 from ..machine.model import Machine
 from .segmented_graph import SegmentedGraph
@@ -70,13 +71,8 @@ def from_edges(machine: Machine, n_vertices: int, edges, weights=None) -> Segmen
     cross = new_home.gather(partner_of_rank)
 
     # segment flags: a slot starts a segment where its vertex differs from
-    # the previous slot's vertex (one shift + compare)
-    machine.charge_permute(n_slots)
-    machine.charge_elementwise(n_slots)
-    sk = sorted_keys.data
-    sf = np.empty(n_slots, dtype=bool)
-    sf[0] = True
-    sf[1:] = sk[1:] != sk[:-1]
+    # the previous slot's vertex
+    seg_flags = seg_flag_from_neighbor_change(sorted_keys)
 
     slot_data: dict[str, Vector] = {}
     payloads = {"edge_id": np.arange(mcount, dtype=np.int64)}
@@ -91,7 +87,7 @@ def from_edges(machine: Machine, n_vertices: int, edges, weights=None) -> Segmen
 
     g = SegmentedGraph(
         machine=machine,
-        seg_flags=Vector(machine, sf),
+        seg_flags=seg_flags,
         cross_pointers=cross,
         slot_data=slot_data,
         vertex_reps=np.flatnonzero(present).astype(np.int64),

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ops, scans, segmented
+from ..core import scans, segmented
 from ..core.vector import Vector
 from .segmented_graph import SegmentedGraph
 
-__all__ = ["star_merge", "StarMergeResult"]
+__all__ = ["random_mate", "star_merge", "StarMergeResult"]
 
 
 @dataclass
@@ -83,8 +83,6 @@ def _validate_star(g: SegmentedGraph, star_edge: Vector, parent: Vector) -> None
 def star_merge(g: SegmentedGraph, star_edge: Vector, parent: Vector,
                *, validate: bool = True) -> StarMergeResult:
     """Merge every star in ``g`` in O(1) program steps (see module doc)."""
-    m = g.machine
-    n = g.num_slots
     if validate:
         _validate_star(g, star_edge, parent)
 
@@ -130,35 +128,10 @@ def star_merge(g: SegmentedGraph, star_edge: Vector, parent: Vector,
 
     # ---- phase 4: delete intra-segment edges --------------------------- #
     other_vid = new_vid.permute(cp_new)
-    keep = other_vid != new_vid
-    final_idx = ops.enumerate_(keep)
-    kept = ops.count(keep)
-
-    if kept:
-        cp_routed = final_idx.gather(cp_new)  # where my other end will land
-        final_cp = ops.pack(cp_routed, keep)
-        final_vid = ops.pack(new_vid, keep)
-        final_data = {k: ops.pack(v, keep) for k, v in moved_data.items()}
-        m.charge_permute(kept)
-        m.charge_elementwise(kept)
-        fv = final_vid.data
-        sf_arr = np.empty(kept, dtype=bool)
-        sf_arr[0] = True
-        sf_arr[1:] = fv[1:] != fv[:-1]
-        final_sf = Vector(m, sf_arr)
-        head_vids = fv[np.flatnonzero(sf_arr)]
-        new_reps = g.vertex_reps[head_vids]
-    else:
-        final_cp = Vector(m, np.empty(0, dtype=np.int64))
-        final_sf = Vector(m, np.empty(0, dtype=bool))
-        final_data = {k: Vector(m, np.empty(0, dtype=v.dtype))
-                      for k, v in moved_data.items()}
-        head_vids = np.empty(0, dtype=np.int64)
-        new_reps = np.empty(0, dtype=np.int64)
+    merged = g.compact(other_vid != new_vid, cp_new, new_vid, moved_data)
 
     # ---- host-side bookkeeping (uncharged) ------------------------------ #
-    sf_host = seg.data
-    seg_id = np.cumsum(sf_host) - 1
+    seg_id = np.cumsum(seg.data) - 1
     child_star_mask = star_edge.data & ~parent.data[seg_id]
     child_vids = seg_id[child_star_mask]
     parent_vids = seg_id[cp.data[child_star_mask]]
@@ -166,19 +139,34 @@ def star_merge(g: SegmentedGraph, star_edge: Vector, parent: Vector,
         (g.vertex_reps[child_vids], g.vertex_reps[parent_vids])
     ) if child_vids.size else np.empty((0, 2), dtype=np.int64)
 
-    parent_ids = np.flatnonzero(parent.data)
-    surviving = set(head_vids.tolist())
-    retired = np.array(
-        [g.vertex_reps[p] for p in parent_ids if p not in surviving],
-        dtype=np.int64,
-    )
-
-    merged = SegmentedGraph(
-        machine=m,
-        seg_flags=final_sf,
-        cross_pointers=final_cp,
-        slot_data=final_data,
-        vertex_reps=new_reps,
-    )
+    parent_reps = g.vertex_reps[np.flatnonzero(parent.data)]
+    retired = parent_reps[~np.isin(parent_reps, merged.vertex_reps)]
     return StarMergeResult(graph=merged, merged_pairs=merged_pairs,
                            retired_reps=retired)
+
+
+def random_mate(g: SegmentedGraph, key: Vector
+                ) -> tuple[Vector, StarMergeResult | None]:
+    """One random-mate star round (Section 2.3.3), as the minimum spanning
+    tree and connected components run it: every vertex flips a coin to be
+    a parent or a child, each child's minimum-``key`` slot becomes a star
+    edge if its other end is a parent, vertices that found no star act as
+    parents, and every star merges.  ``key`` must be unique within each
+    vertex.  Returns the child ends of the star edges and the merge, which
+    is ``None`` when no child found a parent (unlucky coins).  O(1)
+    program steps plus the merge's."""
+    m = g.machine
+    nv = g.num_vertices
+    m.charge_elementwise(nv)
+    coin_parent = Vector(m, m.rng.integers(0, 2, size=nv).astype(bool))
+    candidate = key == segmented.seg_min_distribute(key, g.seg_flags)
+    parent_slot = g.vertex_to_slots(coin_parent)
+    other_is_parent = parent_slot.permute(g.cross_pointers)
+    child_star = candidate & ~parent_slot & other_is_parent
+    has_star = g.slots_to_vertex(
+        segmented.seg_or_distribute(child_star, g.seg_flags))
+    merging_parent = coin_parent | ~has_star
+    if not child_star.data.any():
+        return child_star, None
+    star = child_star | child_star.permute(g.cross_pointers)
+    return child_star, star_merge(g, star, merging_parent, validate=False)

@@ -118,6 +118,7 @@ class Machine:
     backend:
         The execution backend computing every primitive's result: a name
         (``"numpy"``, ``"blocked"``, ``"blocked:<chunk>"``,
+        ``"native"``, ``"native:<threads>[:<block>]"``,
         ``"distributed"``, ``"distributed:<workers>[:<min_n>]"``,
         ``"reference"``), a :class:`repro.backends.Backend` instance, or
         ``None`` (default) to honor the ``REPRO_BACKEND`` environment

@@ -175,6 +175,11 @@ for _name, _nan_ok, _additive in [
                      dtypes=DTYPES_FULL, segmented=True,
                      nan_ok=_nan_ok, additive=_additive))
 
+# the no-old-flags form: flags of a vector laid out by segment number
+_register(OpSpec(name="neighbor_change_flags", family="segmented",
+                 run=_plain(segmented.seg_flag_from_neighbor_change),
+                 oracle=_orc("neighbor_change_flags"), dtypes=DTYPES_FULL))
+
 _register(OpSpec(name="seg_split", family="segmented", run=_seg_split,
                  oracle=_orc("seg_split"), dtypes=DTYPES_FULL,
                  segmented=True, n_flags=1))

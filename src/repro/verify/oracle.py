@@ -352,6 +352,15 @@ def seg_flag_from_neighbor_change(mat: Materialized) -> np.ndarray:
     return out
 
 
+def neighbor_change_flags(mat: Materialized) -> np.ndarray:
+    """``seg_flag_from_neighbor_change`` with no old segment flags."""
+    v = mat.values
+    out = np.empty(len(v), dtype=bool)
+    for i in range(len(v)):
+        out[i] = i == 0 or bool(v[i] != v[i - 1])
+    return out
+
+
 # --------------------------------------------------------------------- #
 # Batched heterogeneous segmented scans (the serving mega-op shape).
 # The case's auxiliary flag vector marks *request* boundaries; each
