@@ -17,9 +17,11 @@ whole-vector body at every chunk size.  Whole-vector execution is thus
 the case of one chunk: :class:`~repro.backends.NumPyBackend` is this
 engine with a chunk that holds any vector.
 
-The four scans, eager or fused, are one loop (:meth:`BlockedBackend._sweep`)
-over the carry monoids of :mod:`repro.backends.carry`, the same ones the
-distributed workers run; a one-chunk scan is the monoid's ``local``.
+The four scans, eager or fused, are one loop
+(:func:`repro.backends.carry.sweep`, which the segmented extreme kernel's
+tile loop shares) over the carry monoids of :mod:`repro.backends.carry`,
+the same ones the distributed workers run; a one-chunk scan is the
+monoid's ``local``.
 Integer and boolean results are bit-identical at every chunk size
 (integer addition is associative modulo 2^64, max/min exactly
 associative); float ``+``-scans and segmented sums may round differently
@@ -32,12 +34,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .base import Backend
-from .carry import REDUCERS, SEG_REDUCERS, monoid
+from .carry import DEFAULT_CHUNK, REDUCERS, SEG_REDUCERS, monoid, sweep
 
 __all__ = ["BlockedBackend"]
-
-#: default elements per chunk (a few hundred KB of int64 per temporary)
-DEFAULT_CHUNK = 65536
 
 #: the ops whose chunk loop bounds their temporaries
 _CHUNKED = frozenset({"elementwise", "plus_scan", "max_scan",
@@ -87,37 +86,25 @@ class BlockedBackend(Backend):
         """One rule for every chunk size: an op run in chunks never holds
         more than one chunk of the widest lane (8-byte words), whatever
         the vector's length; any other op holds the whole-vector
-        estimate.  The segmented extreme scan's doubling fallback
-        (floats, 64-bit extremes) holds 13/8 of that (a lane-sized copy,
-        two ``int16`` distance rows and a ``bool`` mask, measured at
-        1.65x on 8-byte lanes; the keyed branch needs under 1% on int64).
+        estimate.  The segmented extreme kernel is tile-bounded on every
+        engine, one chunk included: it holds up to 3x the lane bytes of
+        one chunk or one tile (:data:`~repro.backends.carry.DEFAULT_CHUNK`
+        elements), whichever is smaller.  Measured by ``tracemalloc`` on
+        8-byte lanes, over its result: the doubling branch (floats,
+        64-bit extremes) 2.8x at 2^21 elements in one chunk, 1.8x at one
+        full tile and 2.9x at 5000 elements; the keyed branch 0.13x.
         Fused pipelines report the chain executor's own accounting."""
         if op == "fused_pipeline":
             return super().temp_bytes(op, out_bytes)
+        if op == "seg_extreme_scan":
+            return 3 * min(out_bytes, self.chunk * 8, DEFAULT_CHUNK * 8)
         if op in _CHUNKED:
             out_bytes = min(out_bytes, self.chunk * 8)
-        if op == "seg_extreme_scan":
-            return 13 * out_bytes // 8
         return out_bytes
 
     def _spans(self, n: int) -> Iterator[tuple[int, int]]:
         for start in range(0, n, self.chunk):
             yield start, min(start + self.chunk, n)
-
-    def _sweep(self, algebra, pieces, out: np.ndarray,
-               flags: np.ndarray = None) -> np.ndarray:
-        """Figure 10's schedule over ``(s, e, rows)`` chunks: each chunk's
-        exclusive scan from the identity (``local``), the carry entering
-        it folded in (``apply``), the carry advanced past it
-        (``combine``) — one loop for every scan, eager or fused."""
-        carry = algebra.identity
-        for s, e, rows in pieces:
-            sfc = None if flags is None else flags[s:e]
-            _, carry_out = algebra.local(rows, sfc, out[s:e])
-            if s:  # the first chunk's carry is the identity: nothing to fold
-                algebra.apply(out[s:e], sfc, carry)
-            carry = algebra.combine(carry, carry_out)
-        return out
 
     def _scan(self, op: str, values: np.ndarray, flags=None, identity=None,
               is_max: bool = False) -> np.ndarray:
@@ -125,7 +112,7 @@ class BlockedBackend(Backend):
         if len(values) <= self.chunk:
             return algebra.local(values, flags)[0]
         pieces = ((s, e, values[s:e]) for s, e in self._spans(len(values)))
-        return self._sweep(algebra, pieces, np.empty_like(values), flags)
+        return sweep(algebra, pieces, np.empty_like(values), flags)
 
     # ------------------------ fused pipelines -------------------------- #
 
@@ -147,8 +134,8 @@ class BlockedBackend(Backend):
                             * min(n, self.chunk) * max(1, dtype.itemsize))
         if plan.terminal is None:
             return plan.evaluate(self.chunk)
-        return self._sweep(monoid(plan.terminal, dtype, *plan.terminal_args),
-                           plan.chunks(self.chunk), np.empty(n, dtype=dtype))
+        return sweep(monoid(plan.terminal, dtype, *plan.terminal_args),
+                     plan.chunks(self.chunk), np.empty(n, dtype=dtype))
 
     # -------------------------- elementwise --------------------------- #
 

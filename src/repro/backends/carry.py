@@ -12,25 +12,31 @@ every rank's work from:
 * ``local(values, flags, out=None) -> (out, carry_out)`` — one chunk's
   exclusive scan from the identity, and the carry leaving it;
 * ``apply(out, flags, carry)`` — fold the carry entering a chunk into
-  that chunk's ``local`` result, in place.
+  that chunk's ``local`` result, in place;
+* ``carry_out(values, flags)`` — ``local``'s carry alone, as a
+  reduction that writes no output (the distributed workers' phase 1).
 
-The blocked engine's chunk loop (and its one-chunk step, which is the
-whole numpy engine), native without Numba (which *is* blocked), the
-distributed workers' two phases and the supervisor's carry exchange all
-look a monoid or kernel up here (:func:`monoid`), and the reductions up
-in :data:`REDUCERS` / :data:`SEG_REDUCERS`, so the carry math and its
-conventions live here once.  Segmented carries are ``(value, has_head)``
-pairs: a head anywhere in a chunk resets the open segment, and ``apply``
-only touches the chunk's leading run (the elements before its first
-head).
+:func:`sweep` is the schedule itself, the one chunk loop: the blocked
+engine's (whose one-chunk step is the whole numpy engine, and which
+native without Numba *is*) and the segmented extreme kernel's own tile
+loop.  The distributed workers' two phases and the supervisor's carry
+exchange look the same monoids up (:func:`monoid`), and every engine its
+reductions in :data:`REDUCERS` / :data:`SEG_REDUCERS`, so the carry math
+and its conventions live here once.  Segmented carries are
+``(value, has_head)`` pairs: a head anywhere in a chunk resets the open
+segment, and ``apply`` only touches the chunk's leading run (the
+elements before its first head).
 
 :func:`seg_extreme_scan` is the segmented max/min chunk kernel, in O(n)
-work with no sort, and it has two branches chosen by one correctness
-test.  When Figure 16's appended keys fit in 62 bits
-(:func:`appended_keys`: integers, ``bits(hi - lo) + bits(#segments)``
-within budget) it *is* Figure 16: the segment number shifted above the
-value field, one unsegmented ``np.maximum.accumulate``, the field read
-back.  Every other input (floats, bools, int64/uint64 extremes) takes
+work with no sort.  A vector longer than :data:`DEFAULT_CHUNK` is swept
+tile by tile over the seg-extreme monoid, so the kernel holds its result
+and tile-sized temporaries, never a temporary the size of the vector.
+On one tile it has two branches chosen by one correctness test.  When
+Figure 16's appended keys fit in 62 bits (:func:`appended_keys`:
+integers, ``bits(hi - lo) + bits(#segments)`` within budget) it *is*
+Figure 16: the segment number shifted above the value field, one
+unsegmented ``np.maximum.accumulate``, the field read back.  Every other
+input (floats, bools, int64/uint64 extremes) takes
 :func:`doubling_scan`: the vector is viewed as rows, each row is scanned
 by segmented Hillis–Steele doubling (``lg`` of the row width passes,
 each kept inside its row by the elements' in-row distance to their last
@@ -47,8 +53,13 @@ the segment it closes (``np.add.reduceat``), so one in-place
 ``np.add.accumulate`` needs no segment ids, no gather and no temporary
 the size of the chunk.  The ``plus``, ``max`` and segmented ``plus``
 carries out of a chunk are read in O(1) off ``out[-1]`` and
-``values[-1]``, so no chunk makes a second pass for its carry.
-:func:`monoid` caches the monoids, which hold no state.
+``values[-1]``, so no chunk makes a second pass for its carry.  Each
+``carry_out`` equals ``local``'s carry bit for bit: integer sums reduce
+in the lane dtype, which wraps alike; float sums keep ``local``'s
+sequential order; the extremes reduce (which of two signed zeros an
+extreme keeps depends on the order of evaluation, and the dtype contract
+leaves it open); a segmented carry reads only the run after the last
+head.  :func:`monoid` caches the monoids, which hold no state.
 """
 from __future__ import annotations
 
@@ -59,9 +70,14 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Monoid", "REDUCERS", "SEG_REDUCERS", "appended_keys",
-           "block_carries", "doubling_scan", "extreme_carry_out",
-           "extreme_combine", "monoid", "seg_extreme_scan"]
+__all__ = ["DEFAULT_CHUNK", "Monoid", "REDUCERS", "SEG_REDUCERS",
+           "appended_keys", "block_carries", "doubling_scan",
+           "extreme_carry_out", "extreme_combine", "monoid",
+           "seg_extreme_scan", "sweep"]
+
+#: elements per chunk of the blocked engine's default, and the tile of
+#: every tile-bounded kernel here (a few hundred KB of int64 per temporary)
+DEFAULT_CHUNK = 65536
 
 #: ``reduce`` by op name, for a chunk's or shard's partial and for their
 #: combine: the ufunc reductions ``np.sum`` and friends wrap, called
@@ -188,20 +204,46 @@ def _fill_heads(out: np.ndarray, flags: np.ndarray, identity) -> np.ndarray:
     return out
 
 
+def sweep(algebra: "Monoid", pieces, out: np.ndarray,
+          flags: np.ndarray = None) -> np.ndarray:
+    """Figure 10's schedule over ``(s, e, rows)`` chunks: each chunk's
+    exclusive scan from the identity (``local``), the carry entering it
+    folded in (``apply``), the carry advanced past it (``combine``) — one
+    loop for every scan, eager or fused, chunked or tiled."""
+    carry = algebra.identity
+    for s, e, rows in pieces:
+        sfc = None if flags is None else flags[s:e]
+        _, carry_out = algebra.local(rows, sfc, out[s:e])
+        if s:  # the first chunk's carry is the identity: nothing to fold
+            algebra.apply(out[s:e], sfc, carry)
+        carry = algebra.combine(carry, carry_out)
+    return out
+
+
 def seg_extreme_scan(values: np.ndarray, flags: np.ndarray, identity, *,
                      is_max: bool, out: np.ndarray = None) -> np.ndarray:
     """Exclusive per-segment running max (or min) in O(n) work, into
     ``out`` when given.
 
-    Integers whose appended keys fit (:func:`appended_keys`) take
-    Figure 16's single max-scan; every other input takes
-    :func:`doubling_scan`.  Heads receive ``identity``, which is never
-    combined into real values (``seg_or_scan`` relies on that with its
-    non-neutral ``identity=0``).  Position 0 starts a segment whether or
-    not it is flagged.
+    A vector longer than :data:`DEFAULT_CHUNK` is swept tile by tile
+    (:func:`sweep` over the seg-extreme monoid, whose ``local`` is this
+    kernel on one tile), so its temporaries are tile-sized.  On a tile,
+    integers whose appended keys fit (:func:`appended_keys`) take Figure
+    16's single max-scan; every other input takes :func:`doubling_scan`.
+    Heads receive ``identity``, which is never combined into real values
+    (``seg_or_scan`` relies on that with its non-neutral ``identity=0``).
+    Position 0 starts a segment whether or not it is flagged.
     """
-    if len(values) == 0:
+    n = len(values)
+    if n == 0:
         return values.copy() if out is None else out
+    tile = DEFAULT_CHUNK
+    if n > tile:
+        tiles = ((s, min(s + tile, n), values[s:s + tile])
+                 for s in range(0, n, tile))
+        return sweep(monoid("seg_extreme", values.dtype, identity, is_max),
+                     tiles, np.empty_like(values) if out is None else out,
+                     flags)
     # an int64 result buffer holds the keys: no key-sized temporary
     keyed = appended_keys(values, flags, is_max=is_max,
                           out=out if out is not None
@@ -260,7 +302,8 @@ class Monoid:
     combine: Callable
     local: Callable
     apply: Callable
-    #: whether ``local`` / ``apply`` read segment flags
+    carry_out: Callable
+    #: whether ``local`` / ``apply`` / ``carry_out`` read segment flags
     segmented: bool = False
 
 
@@ -268,6 +311,31 @@ def _leading_run(flags: np.ndarray) -> int:
     """Elements before the first head (all of them if there is none):
     ``argmax`` stops at the first head, unlike ``flatnonzero``."""
     return int(flags.argmax()) if flags.any() else len(flags)
+
+
+def _last_head(flags: np.ndarray) -> int:
+    """The index of the last head, or -1 if there is none: ``argmax``
+    over the reversed flags reads only the run after it."""
+    last = len(flags) - 1 - int(flags[::-1].argmax())
+    return last if flags[last] else -1
+
+
+def _running_total(n: int, dtype, terms) -> object:
+    """``np.add.accumulate(t)[-1]`` over the ``n`` terms ``t`` that
+    ``terms(s, e, buf)`` writes (terms ``s:e`` into ``buf``), one tile at
+    a time: the same additions in the same order, so the same float bits
+    (``np.add.reduce`` sums floats pairwise, which does not), with one
+    tile-sized buffer."""
+    buf = np.empty(min(n, DEFAULT_CHUNK), dtype=dtype)
+    total = None
+    for s in range(0, n, DEFAULT_CHUNK):
+        tile = buf[:min(n - s, DEFAULT_CHUNK)]
+        terms(s, s + len(tile), tile)
+        if total is not None:
+            tile[0] = np.add(total, tile[0])
+        np.add.accumulate(tile, out=tile)
+        total = tile[-1]
+    return total
 
 
 def _plus(dtype) -> Monoid:
@@ -292,7 +360,20 @@ def _plus(dtype) -> Monoid:
         return np.add(np.asarray(a, dtype=dtype),
                       np.asarray(b, dtype=dtype))[()]
 
-    return Monoid(zero, combine, local, apply)
+    def carry_out(values, flags=None):
+        if not len(values):
+            return zero
+        return np.add(_sum(values[:-1]), values[-1])
+
+    def _sum(values):
+        """``local``'s ``out[-1]``: the sum of ``values`` (zero if empty)
+        in ``local``'s order."""
+        if dtype.kind in "biu" or not len(values):
+            return np.add.reduce(values, dtype=dtype)
+        return _running_total(len(values), dtype,
+                              lambda s, e, buf: np.copyto(buf, values[s:e]))
+
+    return Monoid(zero, combine, local, apply, carry_out)
 
 
 def _max(dtype, identity) -> Monoid:
@@ -317,7 +398,14 @@ def _max(dtype, identity) -> Monoid:
     def apply(out, flags, carry):
         np.maximum(out, carry, out=out)
 
-    return Monoid(ident, np.maximum, local, apply)
+    def carry_out(values, flags=None):
+        if not len(values):
+            return ident
+        # ``local``'s ``out[-1]``: the values before the last, clamped
+        head = np.maximum.reduce(values[:-1], initial=ident)
+        return np.maximum(head, values[-1])
+
+    return Monoid(ident, np.maximum, local, apply, carry_out)
 
 
 def _seg_plus(dtype) -> Monoid:
@@ -350,7 +438,44 @@ def _seg_plus(dtype) -> Monoid:
     def combine(a, b):  # a precedes b
         return b if b[1] else (plus.combine(a[0], b[0]), a[1])
 
-    return Monoid((plus.identity, False), combine, local, apply,
+    def carry_out(values, flags):
+        n = len(values)
+        if not n:
+            return plus.identity, False
+        last = _last_head(flags)
+        if last == n - 1 or n == 1:
+            total = plus.identity  # ``local`` sets heads to the identity
+        elif dtype.kind in "biu":
+            # the closed segments' sums cancel exactly in wrapping
+            # arithmetic: the open segment's elements alone remain
+            total = np.add.reduce(values[max(last, 0):-1], dtype=dtype)
+        else:
+            total = _replayed_sum(values, flags)
+        return np.add(total, values[-1]), last >= 0
+
+    def _replayed_sum(values, flags):
+        """``local``'s ``out[-1]`` on floats: its running sum, restarts and
+        their rounding residues included, replayed tile by tile."""
+        heads = np.flatnonzero(flags)
+        restarts = heads[1:] if len(heads) and heads[0] == 0 else heads
+        if len(restarts):  # the same call as ``local``'s: the same sums
+            closed = np.add.reduceat(values[:restarts[-1]],
+                                     np.concatenate(([0], restarts[:-1])),
+                                     dtype=dtype)
+
+        def terms(s, e, buf):
+            if s:
+                buf[:] = values[s - 1:e - 1]
+            else:
+                buf[0] = plus.identity
+                buf[1:] = values[:e - 1]
+            lo, hi = np.searchsorted(restarts, (s, e))
+            if hi > lo:
+                buf[restarts[lo:hi] - s] -= closed[lo:hi]
+
+        return _running_total(len(values), dtype, terms)
+
+    return Monoid((plus.identity, False), combine, local, apply, carry_out,
                   segmented=True)
 
 
@@ -380,7 +505,14 @@ def _seg_extreme(dtype, identity, is_max: bool) -> Monoid:
             return b
         return (b[0] if a[0] is None else comb(a[0], b[0]), a[1])
 
-    return Monoid((None, False), combine, local, apply, segmented=True)
+    def carry_out(values, flags):
+        if not len(values):
+            return None, False
+        last = _last_head(flags)
+        return comb.reduce(values[max(last, 0):]), last >= 0
+
+    return Monoid((None, False), combine, local, apply, carry_out,
+                  segmented=True)
 
 
 @lru_cache(maxsize=256)

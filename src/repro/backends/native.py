@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocked import DEFAULT_CHUNK, BlockedBackend
-from .carry import block_carries
+from .blocked import BlockedBackend
+from .carry import DEFAULT_CHUNK, block_carries
 
 __all__ = ["NativeBackend", "HAVE_NUMBA", "PY_KERNELS", "two_phase"]
 

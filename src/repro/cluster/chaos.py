@@ -32,7 +32,8 @@ class ChaosAction:
 
     ``op_id`` counts the backend's *distributed* ops from 0 (local
     fallbacks don't advance it); ``worker`` is the pool slot index;
-    ``phase`` is 1 (local scan) or 2 (carry apply).  A non-``sticky``
+    ``phase`` is 1 (the shard's carry, no output written) or 2 (the
+shard's scan with its incoming carry, written once).  A non-``sticky``
     action fires once — the retried shard then succeeds, which is what
     lets tests distinguish "recovered by retry" from "degraded".
     """
@@ -91,8 +92,8 @@ class ChaosState:
 
         Returns ``None`` or a ``(kind, seconds)`` pair ready to ship in
         the op command.  Scripted actions match exactly; the random-kill
-        roll only applies to phase 1 (phase 2 is retried in recompute
-        mode anyway, so random phase-1 kills already cover both paths).
+        roll only applies to phase 1 (a phase-2 retry reruns the same
+        idempotent command, a path the scripted phase-2 actions cover).
         """
         for action in self.plan.actions:
             if (action.op_id, action.worker, action.phase) != (op_id, worker, phase):

@@ -9,21 +9,25 @@ everything here is about surviving the processes that run it.  A
    (:class:`_ShmJob`: one segment per role, reused while the op stays in
    the same power-of-two size class; arrays never cross the command
    pipes),
-2. dispatches one contiguous shard per live worker (in waves when workers
-   have died and shards outnumber survivors),
+2. dispatches phase 1, one contiguous shard per live worker (in waves
+   when workers have died and shards outnumber survivors): each worker
+   reduces its shard to the carry leaving it and writes no output,
 3. combines the per-shard carries with the round-efficient exclusive
    exchange (:mod:`repro.cluster.exchange`), and
-4. dispatches the phase-2 carry applies, skipping shards whose incoming
-   carry is the operator's identity.
+4. dispatches phase 2 to every shard: its exclusive scan, with the
+   incoming carry folded in unless that carry is the operator's identity,
+   written into ``out`` once.
 
-Every shard reply is validated (deadline, liveness, checksum) and every
-failure is classified — ``timeout``, ``crash``, or ``corrupt`` — then
-answered by the :class:`RetryPolicy` ladder: recycle the worker (respawn,
-or retire the slot after repeated failures), back off with seeded jitter,
-re-dispatch the shard (phase-2 retries always recompute, since a
-half-applied in-place carry is not re-applicable), and after the retry
-budget compute the shard host-side **with the identical kernels**, so
-degradation changes latency, never results.  The
+This is Figure 10's reduce-then-scan: each output byte is written once,
+hashed once by its worker and verified once here.  Every shard reply is
+validated (deadline, liveness, checksum) and every failure is classified
+— ``timeout``, ``crash``, or ``corrupt`` — then answered by the
+:class:`RetryPolicy` ladder: recycle the worker (respawn, or retire the
+slot after repeated failures), back off with seeded jitter, re-dispatch
+the same command (both phases are idempotent: phase 1 writes nothing and
+phase 2 rewrites its whole shard), and after the retry budget compute the
+shard host-side **with the identical kernels**, so degradation changes
+latency, never results.  The
 :class:`~repro.cluster.ledger.ClusterLedger` records each event, and the
 invariant ``failures == retries + degraded_shards`` reconciles the whole
 story; each event is one ``ledger.bump``, which also publishes it as a
@@ -386,12 +390,13 @@ class WorkerPool:
             return ("ok", reply)
 
     def _checksum_ok(self, job: _ShmJob, cmd: dict, reply: dict) -> bool:
-        """Recompute the shard checksum on the host's view of the data."""
+        """Recompute the shard checksum on the host's view of the data:
+        the carry in phase 1, the written output bytes in phase 2."""
         out_slice = None
         if cmd["out"] is not None:
             out_slice = job.view("out")[cmd["start"]:cmd["stop"]]
-        carry = reply.get("carry") if cmd["phase"] == 1 else None
-        return shardops.shard_checksum(out_slice, carry) == reply["checksum"]
+        return (shardops.shard_checksum(out_slice, reply.get("carry"))
+                == reply["checksum"])
 
     def _host_shard(self, job: _ShmJob, cmd: dict):
         """Degraded path: compute the shard in-process with the exact
@@ -479,11 +484,7 @@ class WorkerPool:
                 failed.append((shard, cmd))
             busy: set = set()  # the wave is fully settled; every pipe is idle
             for shard, cmd in failed:
-                retry_cmd = dict(cmd)
-                if cmd["phase"] == 2:
-                    # a half-applied in-place carry must not be re-applied
-                    retry_cmd["mode"] = "recompute"
-                results[shard] = self._retry_shard(job, retry_cmd, busy)
+                results[shard] = self._retry_shard(job, cmd, busy)
         return results
 
     # ------------------------- distributed ops ------------------------- #
@@ -502,7 +503,7 @@ class WorkerPool:
     @staticmethod
     def _offset_is_identity(algebra, offset, flags, start: int) -> bool:
         """Whether shard ``start``'s incoming carry cannot change it (so
-        phase 2 can be skipped entirely for that shard)."""
+        its phase 2 need not fold the carry in)."""
         if algebra.segmented:
             if bool(flags[start]):
                 return True  # shard opens a fresh segment; no carry applies
@@ -521,7 +522,7 @@ class WorkerPool:
     def run_scan(self, op: str, values: np.ndarray,
                  flags: Optional[np.ndarray] = None,
                  identity=None, is_max: bool = False) -> np.ndarray:
-        """A full two-phase sharded scan with recovery; returns the result
+        """A reduce-then-scan over shards with recovery; returns the result
         as a fresh host array (the arena is reused by the next op)."""
         if op not in _SCAN_OPS:
             raise ValueError(f"unknown distributed op {op!r}")
@@ -541,7 +542,7 @@ class WorkerPool:
             "identity": identity, "is_max": is_max,
             "reduce_op": None, "carry": None,
         }
-        phase1 = [(i, {**base, "phase": 1, "mode": "scan",
+        phase1 = [(i, {**base, "phase": 1, "out": None,
                        "start": s, "stop": e})
                   for i, (s, e) in enumerate(shards)]
         carries_by_shard = self._run_phase(job, phase1)
@@ -555,14 +556,12 @@ class WorkerPool:
         host_flags = job.view("flags") if flags is not None else None
         phase2 = []
         for i, (s, e) in enumerate(shards):
-            if s == e or self._offset_is_identity(algebra, offsets[i],
-                                                  host_flags, s):
-                continue
-            phase2.append((i, {**base, "phase": 2, "mode": "apply",
-                               "start": s, "stop": e,
-                               "carry": offsets[i]}))
-        if phase2:
-            self._run_phase(job, phase2)
+            offset = offsets[i]
+            if self._offset_is_identity(algebra, offset, host_flags, s):
+                offset = None  # nothing to fold in
+            phase2.append((i, {**base, "phase": 2, "start": s, "stop": e,
+                               "carry": offset}))
+        self._run_phase(job, phase2)
         return np.array(job.view("out"), copy=True)
 
     def run_reduce(self, values: np.ndarray, reduce_op: str):
@@ -575,7 +574,7 @@ class WorkerPool:
         job = self.arena
         job.load({"values": values})
         cmds = [(i, {"cmd": "op", "op": "reduce", "phase": 1,
-                     "mode": "scan", "n": n, "start": s, "stop": e,
+                     "n": n, "start": s, "stop": e,
                      "values": job.names["values"], "flags": None,
                      "out": None, "dtype": values.dtype.str,
                      "flags_dtype": None, "identity": None,

@@ -1,13 +1,15 @@
 """Shard-local helpers: checksums, reductions and the ``+``-scan names.
 
 A distributed scan is the paper's Figure 10 schedule lifted onto OS
-processes: each worker owns one contiguous shard, runs the *local* part of
-the scan over it, the per-shard carries are combined by a round-efficient
-exclusive exchange (:mod:`repro.cluster.exchange`), and a second pass folds
-each shard's incoming carry back in.  Both passes are the carry monoids of
-:mod:`repro.backends.carry` — ``local`` in phase 1, ``apply`` in phase 2,
-``combine`` in the exchange — the very ones the blocked engine's chunk
-loop runs (a shard is a chunk that happens to live in another process).
+processes, as reduce-then-scan: each worker owns one contiguous shard and
+first reduces it to the carry leaving it, writing nothing; the per-shard
+carries are combined by a round-efficient exclusive exchange
+(:mod:`repro.cluster.exchange`); then each worker scans its shard once,
+with its incoming carry folded in.  Both passes are the carry monoids of
+:mod:`repro.backends.carry` — ``carry_out`` in phase 1, ``local`` and
+``apply`` in phase 2, ``combine`` in the exchange — the very ones the
+blocked engine's chunk loop runs (a shard is a chunk that happens to live
+in another process).
 The worker processes (:mod:`repro.cluster.worker`) and the supervisor's
 degraded host-side path (:mod:`repro.cluster.pool`) call the same
 functions, so recovery can never change a result.  For integer and
@@ -15,10 +17,11 @@ boolean vectors every distributed result is bit-identical to the numpy
 backend; float ``+``-carries may legitimately re-associate, exactly as a
 real message-passing machine would.
 
-Checksums (:func:`shard_checksum`) cover a shard's output bytes *and* its
-carry payload, so a worker that corrupts either — in shared memory after
-the fact, or on the reply wire — is caught by the supervisor recomputing
-the checksum on its own view of the data.
+Checksums (:func:`shard_checksum`) cover what a phase produced: the carry
+payload in phase 1, the shard's output bytes in phase 2.  A worker that
+corrupts either — on the reply wire, or in shared memory after the fact —
+is caught by the supervisor recomputing the checksum on its own view of
+the data, and each byte is hashed once on each side.
 """
 from __future__ import annotations
 

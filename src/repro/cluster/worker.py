@@ -8,24 +8,30 @@ cross the pipe — they live in the pool's shared-memory arena
 its attachment per role across commands and re-attaches only when a
 command names a different segment (the pool replaced it), closing the
 stale attachment first.  The compute itself is a straight call into the
-op's carry monoid (:func:`repro.backends.carry.monoid`): ``local`` in
-phase 1, ``apply`` in phase 2 — the same functions the supervisor uses
-for degraded host-side shards.
+op's carry monoid (:func:`repro.backends.carry.monoid`): ``carry_out``
+in phase 1, which reads the shard and writes nothing, then ``local`` and
+``apply`` of the incoming carry in phase 2, which write each output byte
+of the shard once — the same functions the supervisor uses for degraded
+host-side shards.  Phase 2 rewrites its whole shard, so running it again
+(a retry) is harmless.
 
 Protocol (one reply per command, matched by ``seq``):
 
 * ``{"cmd": "ping"}`` — liveness probe, answered immediately.
 * ``{"cmd": "exit"}`` — clean shutdown.
-* ``{"cmd": "op", ...}`` — compute one shard phase; reply carries the
-  shard's carry payload and a CRC32 checksum over the bytes the worker
-  wrote plus the carry it is about to ship, so the supervisor can detect
-  a corrupted reply by recomputing the checksum on its own view.
+* ``{"cmd": "op", ...}`` — compute one shard phase; the reply carries
+  the shard's carry payload (phase 1; ``None`` in phase 2) and a CRC32
+  checksum over the carry and, in phase 2, the output bytes the worker
+  wrote, so the supervisor can detect a corrupted reply by recomputing
+  the checksum on its own view.  Each byte is hashed once by the worker
+  and once by the supervisor.
 
 A command may embed a chaos directive (see :mod:`repro.cluster.chaos`);
 the worker executes it on itself — ``os._exit`` for a kill, a sleep past
-the deadline for a hang, flipping real bits *after* the checksum for a
-corruption — so the supervisor always observes a genuine failure, never a
-simulated one.
+the deadline for a hang, flipping a real output bit in shared memory
+*after* the checksum for a corruption (or, in phase 1, which writes no
+output, the reply's checksum) — so the supervisor always observes a
+genuine failure, never a simulated one.
 
 Hygiene notes: the worker drops its NumPy views at the end of every
 command, so a stale attachment can be closed (a live view makes
@@ -69,11 +75,11 @@ def _compute(cmd, values, flags, out):
     if op == "reduce":
         return shardops.reduce_shard(values, cmd["reduce_op"])
     algebra = monoid(op, values.dtype, cmd["identity"], cmd["is_max"])
-    if cmd["phase"] == 1 or cmd["mode"] == "recompute":
-        _, carry = algebra.local(values, flags, out)
-        if cmd["phase"] == 1:
-            return carry
-    algebra.apply(out, flags, cmd["carry"])
+    if cmd["phase"] == 1:
+        return algebra.carry_out(values, flags)
+    algebra.local(values, flags, out)
+    if cmd["carry"] is not None:  # ``None``: nothing to fold in
+        algebra.apply(out, flags, cmd["carry"])
     return None
 
 

@@ -11,6 +11,12 @@ doubling kernel they fall back to — are held to the loop, with keys at
 the 62-bit budget and one bit over it.  The four carry monoids the chunk
 loops share are held to numpy's whole-vector scans over a vector cut at
 random points, and their O(1) carry-outs to the full-pass sums.
+
+Past one tile the kernel sweeps tile by tile; with the tile shrunk to 7
+its tiled answer is held to the untiled kernel and to the loop on both
+branches, and so is one real vector of two tiles and three elements.
+Each monoid's ``carry_out`` (the distributed workers' phase 1) is held
+to ``local``'s carry bit for bit.
 """
 import warnings
 
@@ -19,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import NumPyBackend, ReferenceBackend
+from repro.backends import NumPyBackend, ReferenceBackend, carry
 from repro.backends.carry import (appended_keys, doubling_scan,
                                   extreme_carry_out, extreme_combine,
                                   monoid, seg_extreme_scan)
+from repro.verify import generate_cases, run_cases
 from repro.verify.opset import DTYPES_FULL
 
 _NP = NumPyBackend()
@@ -498,3 +505,179 @@ def test_float_seg_plus_heads_are_exact_and_sums_close():
     with np.errstate(invalid="ignore"):
         got = _NP.seg_plus_scan(values, flags)
     assert np.isclose(got[7], values[:7].sum()) and got[8] == np.inf
+
+
+# --------------------------------------------------------------------- #
+# The tile-bounded kernel
+# --------------------------------------------------------------------- #
+
+TILE = 7
+#: the fuzzer's segmented ops whose engines run the seg-extreme kernel
+SEG_EXTREME_OPS = ("seg_max_scan", "seg_min_scan", "seg_or_scan",
+                   "seg_and_scan", "seg_back_max_scan", "seg_back_min_scan",
+                   "batched_seg_max_scan")
+
+
+def _tile_values(rng, branch: str, n: int, layout: str) -> np.ndarray:
+    if branch == "keyed":  # a modest range: the keys fit on every tile
+        return rng.integers(-1000, 1000, n, dtype=np.int64)
+    values = _values(rng, "float64", n)
+    if layout == "nan_tiles":
+        values[TILE:3 * TILE] = np.nan  # two whole tiles of NaN
+    return values
+
+
+def _tile_flags(rng, n: int, layout: str) -> np.ndarray:
+    flags = np.zeros(n, dtype=bool)
+    if layout == "tile_starts":
+        flags[::TILE] = True
+    elif layout in ("headless_tiles", "nan_tiles"):
+        flags[[0, 3 * TILE + 2]] = True  # tiles 1, 2 and 4+ hold no head
+    else:
+        flags = _flags(rng, n, 1 / 5)
+    return flags
+
+
+@pytest.mark.parametrize("layout", ["random", "tile_starts",
+                                    "headless_tiles", "nan_tiles"])
+@pytest.mark.parametrize("neutral", [True, False])
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("branch", ["keyed", "doubling"])
+def test_tiled_kernel_matches_untiled_and_the_loop(branch, is_max, neutral,
+                                                   layout, monkeypatch):
+    """Tiles of 7: the keyed and the doubling branch, neutral identities
+    and ``seg_or_scan``'s non-neutral ``0``, heads on every tile start,
+    tiles with no head and tiles of NaN."""
+    rng = np.random.default_rng(len(layout))
+    n = 6 * TILE + 4
+    values = _tile_values(rng, branch, n, layout)
+    flags = _tile_flags(rng, n, layout)
+    ident = _identity(str(values.dtype), is_max, neutral)
+    assert (appended_keys(values[:TILE], flags[:TILE], is_max=is_max)
+            is not None) == (branch == "keyed")
+    untiled = seg_extreme_scan(values, flags, ident, is_max=is_max)
+    want = _REF.seg_extreme_scan(values, flags, ident, is_max=is_max)
+    monkeypatch.setattr(carry, "DEFAULT_CHUNK", TILE)
+    tiled = seg_extreme_scan(values, flags, ident, is_max=is_max)
+    assert _same(tiled, untiled) and _same(tiled, want)
+    if branch == "keyed":  # the keys go straight into an int64 buffer
+        buf = np.full(n, 12345, dtype=np.int64)
+        assert seg_extreme_scan(values, flags, ident, is_max=is_max,
+                                out=buf) is buf
+        assert _same(buf, want)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("branch", ["keyed", "doubling"])
+def test_two_real_tiles_and_three(branch, is_max, monkeypatch):
+    """A vector of ``2 * DEFAULT_CHUNK + 3`` at the real tile size: the
+    tiled kernel, the kernel on the whole vector and the loop agree."""
+    rng = np.random.default_rng(21)
+    n = 2 * carry.DEFAULT_CHUNK + 3
+    values = _tile_values(rng, branch, n, "random")
+    flags = _flags(rng, n, 1 / 64)
+    flags[carry.DEFAULT_CHUNK] = False  # the second tile opens mid-segment
+    ident = _identity(str(values.dtype), is_max, neutral=True)
+    tiled = seg_extreme_scan(values, flags, ident, is_max=is_max)
+    want = _REF.seg_extreme_scan(values, flags, ident, is_max=is_max)
+    monkeypatch.setattr(carry, "DEFAULT_CHUNK", n)
+    untiled = seg_extreme_scan(values, flags, ident, is_max=is_max)
+    assert _same(tiled, untiled) and _same(tiled, want)
+
+
+def test_fuzzer_seg_extreme_ops_cross_tiles_on_numpy(monkeypatch):
+    """The fuzzer's cases are too short to cross a real tile: with tiles
+    of 7 its segmented extreme ops run numpy's tile loop against the
+    serial oracle and the reference engine."""
+    monkeypatch.setattr(carry, "DEFAULT_CHUNK", TILE)
+    cases = generate_cases(5, 140, ops=SEG_EXTREME_OPS)
+    assert max(len(c.values) for c in cases) > 2 * TILE
+    outcomes = run_cases(cases, engines=("numpy", "reference"))
+    bad = [d for o in outcomes for d in o.divergences]
+    assert bad == [], "\n".join(d.describe() for d in bad[:5])
+
+
+# --------------------------------------------------------------------- #
+# Carry-only reductions: the distributed workers' phase 1
+# --------------------------------------------------------------------- #
+
+#: (monoid op, is_max): every carry-bearing scan
+CARRY_OPS = (("plus_scan", True), ("max_scan", True), ("seg_plus", True),
+             ("seg_extreme", True), ("seg_extreme", False))
+CARRY_LAYOUTS = ("random", "headless", "last_only", "dense")
+
+
+def _carry_values(rng, dtype: str, n: int, signed_zeros: bool):
+    values = _values(rng, dtype, n)
+    if values.dtype.kind == "f":
+        pick = rng.random(n) < 0.2
+        specials = [np.nan, np.inf, -np.inf] + ([0.0, -0.0] if signed_zeros
+                                                 else [])
+        values[pick] = rng.choice(np.array(specials), int(pick.sum()))
+        if not signed_zeros:
+            # which zero an extreme keeps depends on the order of
+            # evaluation, which the dtype contract leaves open
+            values[values == 0] = 0.0
+    return values
+
+
+def _carry_flags(rng, n: int, layout: str) -> np.ndarray:
+    flags = np.zeros(n, dtype=bool)
+    if layout == "last_only":
+        flags[-1] = True
+    elif layout == "dense":
+        flags = rng.random(n) < 0.5
+    elif layout == "random":
+        flags = rng.random(n) < 1 / 9
+    return flags
+
+
+@settings(max_examples=250, deadline=None)
+@given(op=st.sampled_from(CARRY_OPS),
+       dtype=st.sampled_from(["int8", "uint64", "bool", "float64"]),
+       n=st.one_of(st.just(1), st.integers(1, 40)),
+       layout=st.sampled_from(CARRY_LAYOUTS), tile=st.sampled_from([7, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_carry_out_is_locals_carry_bit_for_bit(op, dtype, n, layout, tile,
+                                               seed):
+    """int8 wraps, uint64 spans its range, bools, floats with NaN and
+    +-inf; shards with no head, a head on the last element only, and one
+    element; the float running sums replayed over tiles of 7 too."""
+    name, is_max = op
+    if name == "seg_plus" and dtype == "bool":
+        return  # the Vector layer widens bools before a segmented sum
+    rng = np.random.default_rng(seed)
+    values = _carry_values(rng, dtype, n,
+                           signed_zeros=name in ("plus_scan", "seg_plus"))
+    flags = _carry_flags(rng, n, layout)
+    ident = _identity(dtype, is_max, neutral=bool(seed % 2))
+    algebra = monoid(name, values.dtype, ident, is_max=is_max)
+    sfc = flags if algebra.segmented else None
+    with np.errstate(all="ignore"):
+        _, want = algebra.local(values, sfc)
+        chunk = carry.DEFAULT_CHUNK
+        try:
+            carry.DEFAULT_CHUNK = tile or chunk
+            got = algebra.carry_out(values, sfc)
+        finally:
+            carry.DEFAULT_CHUNK = chunk
+    assert _same_carry(got, want)
+    if algebra.segmented:
+        assert type(got[1]) is bool
+
+
+@pytest.mark.parametrize("op", CARRY_OPS)
+def test_carry_out_of_a_vector_of_many_tiles(op):
+    """Shard-sized inputs, float sums over several tiles: the carry the
+    worker ships is the one ``local`` would have returned."""
+    name, is_max = op
+    rng = np.random.default_rng(17)
+    n = 3 * carry.DEFAULT_CHUNK + 11
+    values = rng.normal(scale=1e3, size=n)
+    flags = _flags(rng, n, 1 / 64)
+    flags[n - carry.DEFAULT_CHUNK - 50:] = False  # the open run crosses a tile
+    algebra = monoid(name, values.dtype, np.inf if not is_max else -np.inf,
+                     is_max=is_max)
+    sfc = flags if algebra.segmented else None
+    assert _same_carry(algebra.carry_out(values, sfc),
+                       algebra.local(values, sfc)[1])

@@ -37,11 +37,14 @@ from repro.backends.numpy_backend import NumPyBackend
 from repro.cluster import (ChaosAction, ChaosPlan, RetryPolicy,
                            exchange_rounds, exclusive_exchange)
 from repro.cluster import shardops
+from repro.cluster.pool import WorkerPool
 from repro.core import scans, segmented
 
 # fast-failing policy for tests: generous deadline (the suite must pass on
 # a loaded 1-CPU container), near-zero backoff so retries don't stall
 QUICK = RetryPolicy(op_deadline=15.0, backoff_base=0.01, backoff_cap=0.05)
+
+I64_MIN = np.iinfo(np.int64).min
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +270,7 @@ class TestArenaReuse:
                                                                 phase):
         # op 0 leaves its result in the arena's out segment; op 1, the same
         # size with different values, loses a shard to chaos (worker 0 runs
-        # shard 0 in phase 1 and the only phase-2 apply, shard 1's)
+        # shard 0 in both phases)
         backend = _private([ChaosAction(op_id=1, worker=0, kind=kind,
                                         phase=phase)])
         try:
@@ -313,6 +316,75 @@ class TestArenaReuse:
             assert backend.ledger.respawns == 1
             assert backend.ledger.failures == 0  # nothing was retried
             assert backend.pool.arena.names == names
+        finally:
+            backend.shutdown()
+
+
+# --------------------------------------------------------------------------- #
+# reduce-then-scan: what each phase writes and hashes
+# --------------------------------------------------------------------------- #
+
+
+class TestPhases:
+    """Phase 1 ships carries and writes no output; phase 2 scans every
+    shard into ``out`` once.  A corruption in either is caught by its own
+    checksum and retried once."""
+
+    oracle = NumPyBackend()
+
+    @staticmethod
+    def _scan(backend, op, values, flags):
+        if op == "plus_scan":
+            return backend.plus_scan(values)
+        return backend.seg_extreme_scan(values, flags, I64_MIN, is_max=True)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("op", ["plus_scan", "seg_max_scan"])
+    def test_corruption_in_either_phase_is_caught_and_retried(
+            self, op, phase, monkeypatch):
+        backend = _private([ChaosAction(op_id=0, worker=1, kind="corrupt",
+                                        phase=phase)])
+        try:
+            n = 9001
+            values = _rng(21).integers(-1000, 1000, size=n)
+            flags = _rng(22).random(n) < 0.01
+            flags[0] = True
+            want = self._scan(self.oracle, op, values, flags)
+            # every failed checksum, with the host's view of what it covered
+            failed = []
+            check = WorkerPool._checksum_ok
+
+            def spy(pool, job, cmd, reply):
+                ok = check(pool, job, cmd, reply)
+                if not ok:
+                    out = (None if cmd["out"] is None else np.array(
+                        job.view("out")[cmd["start"]:cmd["stop"]]))
+                    failed.append((cmd["phase"], cmd["start"], out))
+                return ok
+
+            monkeypatch.setattr(WorkerPool, "_checksum_ok", spy)
+            np.testing.assert_array_equal(
+                self._scan(backend, op, values, flags), want)
+
+            led = backend.ledger
+            assert led.chaos_corruptions == 1
+            assert led.corrupt_replies == 1 and led.failures == 1
+            assert led.retries == 1 and led.degraded_shards == 0
+            assert led.reconciles()
+            # two shards, each dispatched once per phase, plus the retry
+            assert led.shards == 5
+
+            [(got_phase, start, out)] = failed
+            assert got_phase == phase
+            if phase == 1:
+                # phase 1 writes nothing: the worker flipped the checksum
+                # of its carry
+                assert out is None
+            else:
+                # a real bit of the scanned shard, flipped in shared memory
+                shard = want[start:start + len(out)]
+                assert (out != shard).sum() == 1
+                assert out[0] ^ shard[0] == 1
         finally:
             backend.shutdown()
 
