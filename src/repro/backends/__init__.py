@@ -15,9 +15,8 @@ a :class:`Backend` decides how it *computes*.  Five are shipped:
   worker processes with shared memory, a round-efficient carry exchange,
   and fault-tolerant retry/degradation (see :mod:`repro.cluster`);
 * :class:`NativeBackend` (``"native"`` / ``"native:<threads>[:<block>]"``)
-  — two-phase Blelloch upsweep/downsweep over fixed-size blocks, compiled
-  with Numba when available and falling back to a pure-NumPy block
-  schedule otherwise (see :mod:`repro.backends.native`);
+  — the blocked engine with ``chunk = block``; ``threads`` is reserved
+  for a thread-parallel sweep (see :mod:`repro.backends.native`);
 * :class:`ReferenceBackend` (``"reference"``) — pure-Python per-element
   loops, the differential-testing oracle.
 

@@ -18,8 +18,8 @@ every rank's work from:
 
 :func:`sweep` is the schedule itself, the one chunk loop: the blocked
 engine's (whose one-chunk step is the whole numpy engine, and which
-native without Numba *is*) and the segmented extreme kernel's own tile
-loop.  The distributed workers' two phases and the supervisor's carry
+native *is*, at ``chunk = block``) and the segmented extreme kernel's own
+tile loop.  The distributed workers' two phases and the supervisor's carry
 exchange look the same monoids up (:func:`monoid`), and every engine its
 reductions in :data:`REDUCERS` / :data:`SEG_REDUCERS`, so the carry math
 and its conventions live here once.  Segmented carries are
@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["DEFAULT_CHUNK", "Monoid", "REDUCERS", "SEG_REDUCERS",
-           "appended_keys", "block_carries", "doubling_scan",
+           "appended_keys", "doubling_scan",
            "extreme_carry_out", "extreme_combine", "monoid",
            "seg_extreme_scan", "sweep"]
 
@@ -277,17 +277,6 @@ def extreme_carry_out(values: np.ndarray, flags: np.ndarray,
     if flags[-1] or len(values) == 1:
         return last
     return extreme_combine(is_max)(last, out[-1])
-
-
-def block_carries(exts: np.ndarray, has_head: np.ndarray, identity, *,
-                  is_max: bool) -> np.ndarray:
-    """The extreme entering each block, from the per-block ``(extreme
-    since the last head, has_head)`` partials; block 0, which nothing
-    precedes, gets ``identity``."""
-    carries = _shifted_inclusive(exts, has_head,
-                                 extreme_combine(is_max))[:len(exts)]
-    carries[0] = identity
-    return carries
 
 
 # --------------------------------------------------------------------- #

@@ -105,7 +105,9 @@ def random_connected_graph(rng: np.random.Generator, n_vertices: int,
         raise ValueError("need at least two vertices")
     order = rng.permutation(n_vertices)
     tree_children = order[1:]
-    attach = np.array([order[rng.integers(0, i + 1)] for i in range(n_vertices - 1)])
+    # child i + 1 attaches below one of the i + 1 vertices before it: one
+    # draw per bound, the same values and stream as a per-vertex loop
+    attach = order[rng.integers(0, np.arange(1, n_vertices))]
     edge_set = {(min(int(a), int(b)), max(int(a), int(b)))
                 for a, b in zip(attach, tree_children)}
     tries = 0

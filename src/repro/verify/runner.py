@@ -5,9 +5,8 @@ inputs once, computes the serial-oracle answer, then runs the operation on
 a **fresh machine per engine and fusion mode** — vectorized NumPy, the
 blocked backend at two chunk sizes (chunk boundaries are where
 carry-propagation bugs live), the per-element reference backend, and the
-native backend at the default and a tiny block size (its compiled
-two-phase kernels where Numba is importable, blocked's chunk loop with
-``chunk = block`` otherwise), each once eager and, on the engines
+native backend at the default and a tiny block size (blocked's chunk
+loop with ``chunk = block``), each once eager and, on the engines
 that fuse (blocked and native), once more with the lazy fused-pipeline
 path — and demands:
 
@@ -46,7 +45,7 @@ __all__ = ["DEFAULT_ENGINES", "Divergence", "CaseOutcome", "run_case",
 
 #: engines every case runs on (blocked three times: the default chunk,
 #: chunk edges at 7, and a carry at every element boundary with chunk 1;
-#: native twice: the default block and a tiny block-7 two-phase schedule)
+#: native twice: the default block and a tiny block of 7)
 DEFAULT_ENGINES = ("numpy", "blocked", "blocked:7", "blocked:1", "reference",
                    "native", "native:0:7")
 

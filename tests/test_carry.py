@@ -1,7 +1,7 @@
 """The shared carry algebra (repro.backends.carry).
 
-Every engine — numpy whole-vector, blocked chunks (native without Numba
-is blocked) and the distributed shards — runs its segmented max/min
+Every engine — numpy whole-vector, blocked chunks (native is blocked)
+and the distributed shards — runs its segmented max/min
 scans through :func:`seg_extreme_scan`, so this suite holds it to the
 serial :class:`ReferenceBackend` loop directly: every fuzzer dtype, float
 specials, flag densities from one giant segment to all heads, lengths on

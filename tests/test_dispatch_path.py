@@ -9,8 +9,8 @@ numpy scan machine at n = 256.  ``BEFORE`` is each primitive's count
 when every charge still walked its per-call formulas (395 frames in
 all); none may grow back past it, and the total must stay within half.
 Numpy is the blocked engine with one unbounded chunk, and a short vector
-takes blocked's one-chunk step, so ``blocked`` and ``native`` (eager,
-without Numba) must spend exactly numpy's frames on every primitive.
+takes blocked's one-chunk step, so ``blocked`` and ``native`` (eager;
+native is blocked) must spend exactly numpy's frames on every primitive.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro import Machine
-from repro.backends.native import HAVE_NUMBA
 from repro.core import ops, scans, segmented
 from repro.observe import profile
 from repro.observe.metrics import registry
@@ -100,11 +99,7 @@ def test_frame_total_is_within_half_the_old_path(frame_counts):
     assert total <= NUMPY_TOTAL, (total, frame_counts)
 
 
-@pytest.mark.parametrize("backend", [
-    "blocked",
-    pytest.param("native", marks=pytest.mark.skipif(
-        HAVE_NUMBA, reason="the compiled scans take their own path")),
-])
+@pytest.mark.parametrize("backend", ["blocked", "native"])
 def test_chunked_engines_match_numpy_frame_for_frame(frame_counts, backend):
     assert _frame_counts(backend) == frame_counts
 

@@ -67,9 +67,10 @@ class TestSingleFailureRecovery:
             backend.shutdown()
 
     def test_phase2_kill_recovers_via_recompute(self):
-        # phase 2 applies carries in place, so its retry must recompute the
-        # shard rather than re-apply; all-ones input guarantees shard 1's
-        # incoming carry is nonzero and phase 2 actually dispatches
+        # phase 2 writes each shard's whole scan (its local scan with the
+        # incoming carry folded in), so the killed shard's retry recomputes
+        # it from the input and rewrites every byte; all-ones input gives
+        # shard 1 a nonzero incoming carry to fold in
         backend = make_backend(
             [ChaosAction(op_id=0, worker=0, kind="kill", phase=2)])
         try:
@@ -87,10 +88,11 @@ class TestSingleFailureRecovery:
             backend.shutdown()
 
     def test_corruption_is_caught_by_checksum_not_luck(self):
-        # the corrupted shard's bytes really were flipped in shared memory;
-        # only the checksum verification stands between that and a wrong
-        # answer, so the recovered result doubling as the oracle's proves
-        # the retry overwrote the damage
+        # a phase-1 corruption: phase 1 writes no output, so the worker
+        # flips its reply's checksum instead, and only the host's checksum
+        # verification classifies the reply as corrupt and retries it (a
+        # flipped output byte in shared memory is phase 2's corruption,
+        # pinned in tests/test_distributed.py::TestPhases)
         backend = make_backend(
             [ChaosAction(op_id=0, worker=1, kind="corrupt")])
         try:

@@ -71,6 +71,38 @@ class TestBuild:
         assert g.num_vertices == n
         assert g.to_edge_set() == {tuple(sorted(e)) for e in edges.tolist()}
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    def test_random_graph_draws_match_per_vertex_form(self, seed, n):
+        """The tree-attach draw is one vectorised ``integers`` call; it
+        must give the per-vertex loop's graph and leave the stream where
+        that loop did, so the extra edges and weights drawn after it (and
+        every baseline built from this helper) stay the same."""
+        def per_vertex(rng, n_vertices, extra_edges):
+            order = rng.permutation(n_vertices)
+            attach = np.array([order[rng.integers(0, i + 1)]
+                               for i in range(n_vertices - 1)])
+            edge_set = {(min(int(a), int(b)), max(int(a), int(b)))
+                        for a, b in zip(attach, order[1:])}
+            tries = 0
+            while (len(edge_set) < n_vertices - 1 + extra_edges
+                   and tries < 50 * (extra_edges + 1)):
+                u, v = rng.integers(0, n_vertices, size=2)
+                tries += 1
+                if u != v:
+                    edge_set.add((min(int(u), int(v)), max(int(u), int(v))))
+            edges = np.array(sorted(edge_set), dtype=np.int64)
+            weights = rng.permutation(len(edges)) * 7 + rng.integers(1, 7)
+            return edges, weights.astype(np.int64)
+
+        extra = n // 2 + 1
+        edges, weights = random_connected_graph(
+            np.random.default_rng(seed), n, extra)
+        want_edges, want_weights = per_vertex(
+            np.random.default_rng(seed), n, extra)
+        assert np.array_equal(edges, want_edges)
+        assert np.array_equal(weights, want_weights)
+
 
 class TestChargedOperations:
     def test_neighbor_sum_of_ones_is_degree(self):

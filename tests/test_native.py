@@ -1,16 +1,12 @@
-"""The native two-phase backend (repro.backends.native).
+"""The native backend (repro.backends.native).
 
-Hypothesis-driven differential testing of the Blelloch upsweep/downsweep
-schedule against the numpy and reference backends, across the dtype
-boundaries where scan bugs live (unsigned wraparound, int64 overflow,
-NaN ordering, empty float64 vectors), at adversarial block sizes so every
-case crosses block boundaries.
-
-Every test runs two engines: the plain-Python two-phase driver
-(:func:`~repro.backends.native.two_phase` over ``PY_KERNELS``, the exact
-arithmetic Numba compiles, on every host) and the backend as it is —
-compiled when Numba is installed, the blocked backend's chunk loop when
-it is not.
+Hypothesis-driven differential testing of native against the numpy and
+reference backends, across the dtype boundaries where scan bugs live
+(unsigned wraparound, int64 overflow, NaN ordering, empty float64
+vectors), at adversarial block sizes so every case crosses block
+boundaries.  Native is the blocked backend with ``chunk = block``, so
+these cases drive the shared carry monoids' chunk loop at blocks 1, 2,
+3, 7 and 64.
 """
 import numpy as np
 import pytest
@@ -20,7 +16,6 @@ from hypothesis import strategies as st
 from repro import Machine
 from repro.backends import (BlockedBackend, NativeBackend, NumPyBackend,
                             ReferenceBackend)
-from repro.backends.native import HAVE_NUMBA, PY_KERNELS, two_phase
 from repro.core import scans
 
 _NP = NumPyBackend()
@@ -29,33 +24,9 @@ _REF = ReferenceBackend()
 BLOCKS = [1, 2, 3, 7, 64]
 
 
-class _Driver:
-    """The plain-Python two-phase driver behind the backend's scan
-    signatures."""
-
-    def __init__(self, block):
-        self.block = block
-
-    def plus_scan(self, values):
-        return two_phase(PY_KERNELS, "plus_scan", values, block=self.block)
-
-    def max_scan(self, values, identity):
-        return two_phase(PY_KERNELS, "max_scan", values, identity=identity,
-                         block=self.block)
-
-    def seg_plus_scan(self, values, flags):
-        return two_phase(PY_KERNELS, "seg_plus", values, flags,
-                         block=self.block)
-
-    def seg_extreme_scan(self, values, flags, identity, *, is_max):
-        return two_phase(PY_KERNELS, "seg_extreme", values, flags, identity,
-                         is_max=is_max, block=self.block)
-
-
 def _each_native(block):
-    """The plain-Python driver, then the backend as this host runs it."""
-    yield "two-phase", _Driver(block)
-    yield ("numba" if HAVE_NUMBA else "blocked"), NativeBackend(block=block)
+    """Native at ``block``, labelled for the assertion messages."""
+    yield "native", NativeBackend(block=block)
 
 
 INT_DTYPES = ["int8", "int16", "uint8", "uint32", "int64"]
@@ -96,7 +67,8 @@ def test_plus_scan_int_bit_identical(data):
 @settings(max_examples=80, deadline=None)
 def test_max_scan_bit_identical_including_nan(data):
     """max is exactly associative — even for floats with NaN, because the
-    kernels' ``v > acc or v != v`` is np.maximum's NaN-absorbing order."""
+    block carries combine with np.maximum, which absorbs NaN as the
+    within-block np.maximum.accumulate does."""
     if data.draw(st.booleans()):
         dtype = data.draw(st.sampled_from(INT_DTYPES))
         elements = _int_elements(dtype)
@@ -265,26 +237,6 @@ class TestMachineIntegration:
         assert (charges(NativeBackend(block=16))
                 == charges("numpy"))
 
-    def test_metrics_count_fallback_and_launches(self):
-        """Compiled, a scan over two or more non-bool elements is one
-        kernel launch (a fused terminal too), and a shorter one falls
-        back to blocked's loop.  Without Numba native *is* blocked, with
-        no native hook on any op, so neither counter moves."""
-        from repro.observe.metrics import registry
-
-        launches = registry.counter("native.kernel_launches")
-        fallbacks = registry.counter("native.fallback_ops")
-        step = 1 if HAVE_NUMBA else 0
-        nat = NativeBackend(block=8)
-        before = launches.value, fallbacks.value
-        nat.plus_scan(np.arange(32, dtype=np.int64))
-        assert launches.value == before[0] + step
-        m = Machine("scan", backend=nat, fusion=True)
-        scans.plus_scan(m.vector(list(range(32))) * 2)  # a fused terminal
-        assert launches.value == before[0] + 2 * step
-        nat.plus_scan(np.arange(1, dtype=np.int64))  # nothing to sweep
-        assert fallbacks.value == before[1] + step
-
     def test_temp_bytes_is_block_bounded(self):
         nat = NativeBackend(block=1024)
         big = 10**8  # a 100 MB output must not imply 100 MB of temps
@@ -292,15 +244,14 @@ class TestMachineIntegration:
 
 
 # --------------------------------------------------------------------- #
-# Without Numba, native is the blocked backend
+# Native is the blocked backend
 # --------------------------------------------------------------------- #
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="the compiled kernels are in play")
-class TestBlockedWithoutNumba:
+class TestNativeIsBlocked:
     def test_is_blocked_with_chunk_equal_to_block(self):
         nat = NativeBackend(block=7)
         assert isinstance(nat, BlockedBackend)
-        assert not nat.compiled and nat.chunk == nat.block == 7
+        assert nat.chunk == nat.block == 7
 
     def test_every_scan_is_bit_identical_to_blocked(self):
         """Float +-scans included: the same chunk loop associates the
