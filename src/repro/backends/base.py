@@ -158,14 +158,7 @@ class Backend(ABC):
         memory half of the per-op observability hook, deliberately an
         *estimate*: exact allocator truth needs ``tracemalloc``, which
         costs far too much to leave attached.
-
-        ``fused_pipeline`` (on engines that fuse) reports the executor's
-        own accounting: it records its chunk-bounded intermediate bytes
-        while a plan runs (``_fused_temp``), which is how a profiler sees
-        fusion's memory win per pipeline rather than a guess.
         """
-        if op == "fused_pipeline":
-            return int(getattr(self, "_fused_temp", out_bytes))
         return out_bytes
 
     # ------------------------------------------------------------------ #

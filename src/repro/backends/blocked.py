@@ -5,7 +5,7 @@ each processor a contiguous block and sweeping: serial scan within each
 block, one cross-block scan of the partial results, then add the block
 offset back in.  :class:`BlockedBackend` executes that schedule wherever
 chunking bounds a temporary: elementwise maps, the four scans, fused
-pipelines, ``pack``, ``reduce``, ``seg_copy``, ``seg_back_copy`` and
+pipelines, ``pack``, ``seg_copy``, ``seg_back_copy`` and
 ``seg_distribute`` walk the vector in fixed-size chunks, carrying the
 running sum / extreme / open-segment state across chunk boundaries, so
 their temporaries never outgrow a chunk (``seg_back_copy`` and
@@ -40,7 +40,7 @@ __all__ = ["BlockedBackend"]
 
 #: the ops whose chunk loop bounds their temporaries
 _CHUNKED = frozenset({"elementwise", "plus_scan", "max_scan",
-                      "seg_plus_scan", "seg_extreme_scan", "pack", "reduce",
+                      "seg_plus_scan", "seg_extreme_scan", "pack",
                       "seg_copy", "seg_back_copy", "seg_distribute"})
 
 
@@ -93,9 +93,12 @@ class BlockedBackend(Backend):
         8-byte lanes, over its result: the doubling branch (floats,
         64-bit extremes) 2.8x at 2^21 elements in one chunk, 1.8x at one
         full tile and 2.9x at 5000 elements; the keyed branch 0.13x.
-        Fused pipelines report the chain executor's own accounting."""
+        A fused pipeline reports the chain executor's own accounting: the
+        chunk-bounded intermediate bytes :meth:`fused_pipeline` recorded
+        while its plan ran, which is how a profiler sees fusion's memory
+        win per pipeline rather than a guess."""
         if op == "fused_pipeline":
-            return super().temp_bytes(op, out_bytes)
+            return self._fused_temp
         if op == "seg_extreme_scan":
             return 3 * min(out_bytes, self.chunk * 8, DEFAULT_CHUNK * 8)
         if op in _CHUNKED:
@@ -237,11 +240,7 @@ class BlockedBackend(Backend):
         return np.full(length, value, dtype=dtype)
 
     def reduce(self, values: np.ndarray, op: str):
-        reducer = REDUCERS[op]
-        if len(values) <= self.chunk:
-            return reducer(values)
-        return reducer(np.array([reducer(values[s:e])
-                                 for s, e in self._spans(len(values))]))
+        return REDUCERS[op](values)
 
     # ---------------------------- segmented ---------------------------- #
 
@@ -280,14 +279,10 @@ class BlockedBackend(Backend):
         n = len(values)
         if n == 0:
             return values.copy()
+        # the element before each later head, and the vector's last
+        tails = values[np.append(seg_flags[1:].nonzero()[0], n - 1)]
         if n <= self.chunk:
-            # the element before each later head, and the vector's last
-            tails = np.append(seg_flags[1:].nonzero()[0], n - 1)
-            return values[tails][_seg_ids(seg_flags)]
-        before_heads = [values[np.flatnonzero(seg_flags[s:e]) + (s - 1)]
-                        for s, e in self._spans(n)]
-        # the first flag is always a head: drop its phantom predecessor
-        tails = np.concatenate(before_heads + [values[-1:]])[1:]
+            return tails[_seg_ids(seg_flags)]
         return self._spread(tails, seg_flags)
 
     def seg_distribute(self, values: np.ndarray, seg_flags: np.ndarray,

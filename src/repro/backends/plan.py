@@ -10,17 +10,12 @@ or fault state: the :class:`~repro.machine.Machine` computes every step
 and wire charge from the *logical* ops before the plan ever reaches a
 backend, exactly as it does for eager execution.
 
-Step kinds (the full elementwise vocabulary of
-:class:`~repro.core.vector.Vector`):
-
-* ``"ufunc"`` — ``fn`` is a NumPy ufunc applied to the operands; the
-  recorded ``dtype`` is NumPy's own result dtype (probed on zero-length
-  slices at build time);
-* ``"where"`` — the three-operand select ``np.where(flags, a, b)``;
-* ``"cast"`` — ``operand.astype(dtype)`` (unsafe casting, NumPy's
-  ``astype`` default);
-* ``"custom"`` — an opaque elementwise callable (e.g. ``Vector.bit``'s
-  shift-and-mask); backends evaluate it as-is and fuse around it.
+Each step holds the exact callable the eager path hands
+``Backend.elementwise`` for the same operation — a NumPy ufunc,
+``np.where``, ``methodcaller("astype", dtype)`` or a composite such as
+``Vector.bit``'s shift-and-mask — and the result dtype NumPy gives it
+(probed on zero-length slices at build time), so a fused step computes
+exactly what its eager twin does.
 
 Operand references are tagged tuples: ``("in", i)`` names
 ``plan.inputs[i]``, ``("step", j)`` the output of step ``j``, and
@@ -33,35 +28,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["FusedPlan", "PlanStep", "STEP_KINDS"]
-
-#: the recognized step kinds (validated by the plan constructor)
-STEP_KINDS = ("ufunc", "where", "cast", "custom")
+__all__ = ["FusedPlan", "PlanStep"]
 
 
 @dataclass(frozen=True)
 class PlanStep:
     """One elementwise operation of a fused plan (see module docstring)."""
 
-    kind: str
-    fn: Optional[Callable]       #: ufunc / opaque callable (None for cast)
+    fn: Callable                 #: the eager path's elementwise callable
     dtype: np.dtype              #: the step's result dtype
     args: tuple                  #: ("in", i) | ("step", j) | ("const", x)
-
-    def __post_init__(self) -> None:
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown plan step kind {self.kind!r}; "
-                             f"expected one of {STEP_KINDS}")
-
-    def as_callable(self) -> Callable:
-        """The step as a plain elementwise callable (what
-        :meth:`FusedPlan.chunks` applies to each chunk of the operands)."""
-        if self.kind == "cast":
-            dt = self.dtype
-            return lambda a: a.astype(dt)
-        if self.kind == "where":
-            return np.where
-        return self.fn
 
 
 @dataclass(frozen=True)
@@ -102,8 +78,8 @@ class FusedPlan:
         This is the one chain evaluator of the fusing engines.  Every
         intermediate is at most ``size`` elements, so a fused chain's
         working storage is chunk-bounded no matter the vector length, and
-        each step applies the eager ufunc to the eager operand order in
-        the eager dtype, so values are bit-identical to eager execution.
+        each step applies the eager callable to the eager operand order
+        in the eager dtype, so values are bit-identical to eager execution.
         """
         for s in range(0, self.n, size):
             e = min(s + size, self.n)
@@ -112,7 +88,7 @@ class FusedPlan:
                 args = [self.inputs[x][s:e] if tag == "in"
                         else env[x] if tag == "step" else x
                         for tag, x in step.args]
-                env.append(step.as_callable()(*args))
+                env.append(step.fn(*args))
             yield s, e, env[-1]
 
     def evaluate(self, size: int) -> np.ndarray:
@@ -124,7 +100,6 @@ class FusedPlan:
         return out
 
     def describe(self) -> str:  # pragma: no cover - cosmetic
-        ops = [s.fn.__name__ if s.kind == "ufunc" else s.kind
-               for s in self.steps]
+        ops = [getattr(s.fn, "__name__", repr(s.fn)) for s in self.steps]
         tail = f" -> {self.terminal}" if self.terminal else ""
         return f"FusedPlan(n={self.n}, {' -> '.join(ops)}{tail})"

@@ -4,8 +4,9 @@ The paper's long-vector simulation (Figure 10) maps ``n`` logical
 processors onto ``p`` physical ones; this package makes the mapping real
 by sharding vectors across OS worker processes.  The layers, bottom up:
 
-* :mod:`~repro.cluster.shardops` — pure-NumPy shard kernels and carry
-  monoids, shared by workers and the degraded host-side path;
+* :mod:`~repro.cluster.shardops` — shard checksums, shared by workers
+  and the supervisor, and the ``+``-scan names the layer benchmark times
+  (the shard kernels are :mod:`repro.backends.carry`'s);
 * :mod:`~repro.cluster.exchange` — the Träff-style round-efficient
   exclusive carry exchange (⌈lg p⌉ combining rounds);
 * :mod:`~repro.cluster.worker` — the child-process command loop

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 from multiprocessing import resource_tracker
 
-from ..backends.carry import monoid
+from ..backends.carry import REDUCERS, monoid
 from ..observe.metrics import registry
 from . import shardops
 from .chaos import ChaosPlan, ChaosState
@@ -565,8 +565,8 @@ class WorkerPool:
         return np.array(job.view("out"), copy=True)
 
     def run_reduce(self, values: np.ndarray, reduce_op: str):
-        """A sharded reduction: per-shard partials, combined host-side the
-        same way the blocked backend re-reduces its chunk partials."""
+        """A sharded reduction: per-shard partials, combined host-side by
+        a second reduction over them."""
         n = len(values)
         self._begin_op(n)
         live = self.live_workers()
@@ -583,7 +583,7 @@ class WorkerPool:
                 for i, (s, e) in enumerate(shards)]
         partials_by_shard = self._run_phase(job, cmds)
         partials = [partials_by_shard[i] for i in range(len(shards))]
-        return shardops.reduce_combine(partials, reduce_op)
+        return REDUCERS[reduce_op](np.array(partials))
 
 
 # ----------------------- process-wide pool registry ---------------------- #

@@ -1,4 +1,4 @@
-"""Shard-local helpers: checksums, reductions and the ``+``-scan names.
+"""Shard-local helpers: checksums and the ``+``-scan names.
 
 A distributed scan is the paper's Figure 10 schedule lifted onto OS
 processes, as reduce-then-scan: each worker owns one contiguous shard and
@@ -9,7 +9,9 @@ with its incoming carry folded in.  Both passes are the carry monoids of
 :mod:`repro.backends.carry` — ``carry_out`` in phase 1, ``local`` and
 ``apply`` in phase 2, ``combine`` in the exchange — the very ones the
 blocked engine's chunk loop runs (a shard is a chunk that happens to live
-in another process).
+in another process).  A sharded ``reduce`` is
+:data:`repro.backends.carry.REDUCERS` itself, once per shard and once
+over the partials.
 The worker processes (:mod:`repro.cluster.worker`) and the supervisor's
 degraded host-side path (:mod:`repro.cluster.pool`) call the same
 functions, so recovery can never change a result.  For integer and
@@ -29,15 +31,13 @@ import zlib
 
 import numpy as np
 
-from ..backends.carry import REDUCERS, monoid
+from ..backends.carry import monoid
 
 __all__ = [
     "carry_bytes",
     "plus_carry_combine",
     "plus_scan_apply",
     "plus_scan_shard",
-    "reduce_combine",
-    "reduce_shard",
     "shard_checksum",
 ]
 
@@ -92,17 +92,3 @@ def plus_carry_combine(dtype):
     """The ``+``-carry monoid: addition wrapping in the vector's dtype."""
     return monoid("plus_scan", dtype).combine
 
-
-# --------------------------------------------------------------------- #
-# reduce
-# --------------------------------------------------------------------- #
-
-def reduce_shard(values: np.ndarray, op: str):
-    """One shard's partial reduction (``sum``/``max``/``min``/``any``/``all``)."""
-    return REDUCERS[op](values)
-
-
-def reduce_combine(partials, op: str):
-    """Combine per-shard partials exactly as the blocked backend does:
-    a second reduction over the array of partials."""
-    return REDUCERS[op](np.array(partials))

@@ -49,7 +49,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..backends.carry import monoid
+from ..backends.carry import REDUCERS, monoid
 from . import shardops
 
 __all__ = ["worker_main"]
@@ -73,7 +73,7 @@ def _compute(cmd, values, flags, out):
     """Run one shard phase; returns the carry payload (or ``None``)."""
     op = cmd["op"]
     if op == "reduce":
-        return shardops.reduce_shard(values, cmd["reduce_op"])
+        return REDUCERS[cmd["reduce_op"]](values)
     algebra = monoid(op, values.dtype, cmd["identity"], cmd["is_max"])
     if cmd["phase"] == 1:
         return algebra.carry_out(values, flags)

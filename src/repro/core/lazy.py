@@ -44,17 +44,14 @@ class LazyNode:
     """One deferred elementwise operation (immutable except for the
     result cache).
 
-    ``args`` holds the operands in call order: other :class:`LazyNode`
+    ``fn`` is the callable the eager path hands ``Backend.elementwise``;
+    ``args`` holds its operands in call order: other :class:`LazyNode`
     instances, read-only leaf ``ndarray`` operands, or scalar immediates.
-    ``kind`` / ``fn`` follow the :class:`~repro.backends.plan.PlanStep`
-    vocabulary.
     """
 
-    __slots__ = ("kind", "fn", "args", "n", "dtype", "result")
+    __slots__ = ("fn", "args", "n", "dtype", "result")
 
-    def __init__(self, kind: str, fn, args: tuple, n: int,
-                 dtype: np.dtype) -> None:
-        self.kind = kind
+    def __init__(self, fn, args: tuple, n: int, dtype: np.dtype) -> None:
         self.fn = fn
         self.args = args
         self.n = n
@@ -64,15 +61,15 @@ class LazyNode:
         self.result: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        op = self.fn.__name__ if self.kind == "ufunc" else self.kind
         state = "cached" if self.result is not None else "pending"
-        return f"LazyNode({op}, n={self.n}, dtype={self.dtype}, {state})"
+        return (f"LazyNode({getattr(self.fn, '__name__', self.fn)}, "
+                f"n={self.n}, dtype={self.dtype}, {state})")
 
 
-def probe_dtype(kind: str, fn, args: tuple) -> np.dtype:
+def probe_dtype(fn, args: tuple) -> np.dtype:
     """The operation's result dtype, decided by NumPy itself.
 
-    Evaluates the op on zero-length slices of its array/node operands
+    Calls ``fn`` on zero-length slices of its array/node operands
     (scalars stay scalars, so NEP-50 promotion applies exactly as it will
     at execution time).  Value-dependent failures — a Python int that
     does not fit any common dtype, a bad ``where`` operand — surface here,
@@ -86,8 +83,6 @@ def probe_dtype(kind: str, fn, args: tuple) -> np.dtype:
             probe.append(a[:0])
         else:
             probe.append(a)
-    if kind == "where":
-        return np.where(*probe).dtype
     return fn(*probe).dtype
 
 
@@ -134,8 +129,7 @@ def compile_plan(root: LazyNode, *, terminal: Optional[str] = None,
         if expanded:
             refs = tuple(ref_of(a) for a in node.args)
             step_index[id(node)] = len(steps)
-            steps.append(PlanStep(kind=node.kind, fn=node.fn,
-                                  dtype=node.dtype, args=refs))
+            steps.append(PlanStep(fn=node.fn, dtype=node.dtype, args=refs))
             continue
         stack.append((node, True))
         for a in node.args:

@@ -24,6 +24,8 @@ operator's identity.
 """
 from __future__ import annotations
 
+from operator import methodcaller
+
 import numpy as np
 
 from .lazy import LazyNode, compile_plan
@@ -114,11 +116,11 @@ def plus_scan(v: Vector) -> Vector:
     if node is not None:
         # fuse the scan onto the pending elementwise chain: one pipeline,
         # one pass per chunk on the blocked backend.  The bool -> int64
-        # widening below becomes an uncharged cast step, exactly mirroring
-        # the host-side astype of the eager path.
+        # widening below becomes an uncharged astype step, exactly
+        # mirroring the host-side astype of the eager path.
         if node.dtype == np.bool_:
-            node = LazyNode("cast", None, (node,), node.n,
-                            np.dtype(np.int64))
+            node = LazyNode(methodcaller("astype", np.int64), (node,),
+                            node.n, np.dtype(np.int64))
         plan = compile_plan(node, terminal="plus_scan")
         return Vector._adopt(m, m.execute_fused(plan))
     data = v._data

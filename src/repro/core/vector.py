@@ -191,8 +191,7 @@ class Vector:
             operand.setflags(write=False)
         return operand
 
-    def _defer_op(self, func, operands: tuple, dtype=None,
-                  kind: Optional[str] = None) -> "Vector":
+    def _defer_op(self, func, operands: tuple, dtype=None) -> "Vector":
         """Build one pending expression node (the lazy twin of an eager
         ``execute("elementwise", ...)``).  The caller has already charged
         the machine.  The node's result dtype is probed on zero-length
@@ -201,19 +200,11 @@ class Vector:
         the natural one folds the eager path's ``astype`` into the node's
         callable, keeping values bit-identical."""
         operands = tuple(self._snapshot(a) for a in operands)
-        if kind is None:
-            kind = "ufunc" if isinstance(func, np.ufunc) else "custom"
-        if dtype is not None:
-            want = np.dtype(dtype)
-            if kind == "ufunc" and probe_dtype(kind, func, operands) == want:
-                node_dtype = want
-            else:
-                base, kind = func, "custom"
-                func = lambda *a: base(*a).astype(want)  # noqa: E731 - eager twin
-                node_dtype = probe_dtype(kind, func, operands)
-        else:
-            node_dtype = probe_dtype(kind, func, operands)
-        node = LazyNode(kind, func, operands, self._n, node_dtype)
+        node_dtype = probe_dtype(func, operands)
+        if dtype is not None and node_dtype != dtype:
+            base, node_dtype = func, np.dtype(dtype)
+            func = lambda *a: base(*a).astype(node_dtype)  # noqa: E731 - eager twin
+        node = LazyNode(func, operands, self._n, node_dtype)
         return Vector._defer(self.machine, node)
 
     # The eager elementwise paths below are the API's hottest code: each
@@ -364,13 +355,11 @@ class Vector:
         """Convert element type (e.g. flags to 0/1 integers); one step."""
         m, n = self.machine, self._n
         m.charge_elementwise(n)
+        cast = methodcaller("astype", dtype)
         if m.fusion_enabled:
-            node = LazyNode("cast", None, (self._operand(),), n,
-                            np.dtype(dtype))
-            return Vector._defer(m, node)
+            return self._defer_op(cast, (self._operand(),))
         arg = self._storage if self._expr is None else self._data
-        out = m.execute("elementwise", methodcaller("astype", dtype), arg,
-                        inject="elementwise")
+        out = m.execute("elementwise", cast, arg, inject="elementwise")
         out.setflags(write=False)
         res = _new(Vector)
         res.machine, res._storage, res._expr, res._n = m, out, None, n
@@ -391,8 +380,7 @@ class Vector:
             t = if_true._operand() if isinstance(if_true, Vector) else if_true
             f = (if_false._operand() if isinstance(if_false, Vector)
                  else if_false)
-            return self._defer_op(np.where, (self._operand(), t, f),
-                                  kind="where")
+            return self._defer_op(np.where, (self._operand(), t, f))
         t = if_true._data if isinstance(if_true, Vector) else if_true
         f = if_false._data if isinstance(if_false, Vector) else if_false
         cond = self._storage if self._expr is None else self._data

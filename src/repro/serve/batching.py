@@ -223,15 +223,13 @@ class BatchEngine:
     server's single executor thread.
     """
 
-    def __init__(self, backend=None, *, model: str = "scan",
-                 fusion: Optional[bool] = None) -> None:
+    def __init__(self, backend=None, *, model: str = "scan") -> None:
         # resolved once: a distributed pool spawns once, not per batch
         self.backend = resolve_backend(backend)
         self.model = model
-        self.fusion = fusion
 
     def _machine(self) -> Machine:
-        return Machine(self.model, backend=self.backend, fusion=self.fusion)
+        return Machine(self.model, backend=self.backend)
 
     def run_solo(self, op: ServeOp, values: np.ndarray,
                  seg_flags: Optional[np.ndarray]) -> tuple:

@@ -68,7 +68,6 @@ class ServeConfig:
     port: int = 0
     backend: object = None
     model: str = "scan"
-    fusion: Optional[bool] = None
 
     #: how long the batcher lets concurrent requests pile up (seconds)
     batch_window: float = 0.002
@@ -190,8 +189,7 @@ class ScanServer:
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
         self.config = config
-        self.engine = BatchEngine(config.backend, model=config.model,
-                                  fusion=config.fusion)
+        self.engine = BatchEngine(config.backend, model=config.model)
         self.cache = ResultCache(config.cache_entries)
         self.quotas = QuotaManager(
             QuotaPolicy(budget=config.quota_budget,

@@ -511,6 +511,14 @@ class TestBlockedCarries:
         expected = np.concatenate(([0], np.cumsum(data)[:-1]))
         assert np.array_equal(out.data, expected)
 
+    def test_float_sum_reduce_is_numpys_at_any_chunk(self):
+        # reduce is one whole-vector call on every chunk size, so a float
+        # sum rounds exactly as numpy's does (no per-chunk partials)
+        values = np.random.default_rng(3).standard_normal(10_000)
+        want = NumPyBackend().reduce(values, "sum")
+        got = BlockedBackend(chunk=64).reduce(values, "sum")
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_wraparound_carries_match_whole_vector_semantics(self):
         # sums overflow int64 many times over; modular carries must agree
         n = 1_000

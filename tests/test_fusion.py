@@ -5,6 +5,8 @@ The differential property suite (eager vs lazy on every backend) lives in
 defer, what forces them, how charges stay logical, how plans compile, and
 how the toggles surface.
 """
+from operator import methodcaller
+
 import numpy as np
 import pytest
 
@@ -269,16 +271,29 @@ class TestFaultsAndReliability:
 
 
 class TestPlanStructures:
-    def test_unknown_step_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown plan step kind"):
-            PlanStep(kind="sort", fn=None, dtype=np.dtype(int), args=())
+    def test_where_and_astype_steps_match_eager(self):
+        # a step holds the eager path's own callable: np.where and
+        # methodcaller("astype", ...) evaluate as-is, chunk by chunk
+        flags = np.array([True, False, True, True, False])
+        a = np.arange(5, dtype=np.int16)
+        to_f32 = methodcaller("astype", np.float32)
+        steps = (PlanStep(fn=np.where, dtype=np.dtype(np.int16),
+                          args=(("in", 0), ("in", 1), ("const", -1))),
+                 PlanStep(fn=to_f32, dtype=np.dtype(np.float32),
+                          args=(("step", 0),)))
+        plan = FusedPlan(inputs=(flags, a), steps=steps, n=5)
+        want = to_f32(np.where(flags, a, -1))
+        for size in (2, 5):
+            got = plan.evaluate(size)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="at least one step"):
             FusedPlan(inputs=(), steps=(), n=0)
 
     def test_unknown_terminal_rejected(self):
-        step = PlanStep(kind="cast", fn=None, dtype=np.dtype(int),
+        step = PlanStep(fn=methodcaller("astype", int), dtype=np.dtype(int),
                         args=(("in", 0),))
         with pytest.raises(ValueError, match="unknown terminal"):
             FusedPlan(inputs=(np.arange(3),), steps=(step,), n=3,
@@ -286,8 +301,7 @@ class TestPlanStructures:
 
     def test_probe_matches_numpy_promotion(self):
         a = np.arange(3, dtype=np.int8)
-        node = LazyNode("ufunc", np.add, (a, 1), 3,
-                        probe_dtype("ufunc", np.add, (a, 1)))
+        node = LazyNode(np.add, (a, 1), 3, probe_dtype(np.add, (a, 1)))
         assert node.dtype == np.add(a, 1).dtype
 
     def test_describe_names_the_chain(self):

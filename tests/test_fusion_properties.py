@@ -77,10 +77,12 @@ class TestElementwiseChains:
     @given(ints)
     @settings(max_examples=25, deadline=None)
     def test_bool_coercion_chain(self, backend, xs):
-        # comparisons produce bool vectors; & and | stay bool; where
-        # re-enters the numeric domain
+        # comparisons produce bool vectors; & and | stay bool; bit() is
+        # a composite callable with an explicit dtype; where re-enters
+        # the numeric domain
         _differential(backend, xs,
-                      lambda m, v: ((v > 0) & (v % 3 != 1)).where(v, -v),
+                      lambda m, v: ((v > 0) & (v % 3 != 1)
+                                    | v.bit(2)).where(v, -v),
                       dtype=np.int64)
 
     @pytest.mark.parametrize("backend", BACKENDS)
