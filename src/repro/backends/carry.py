@@ -79,8 +79,8 @@ __all__ = ["DEFAULT_CHUNK", "Monoid", "REDUCERS", "SEG_REDUCERS",
 #: every tile-bounded kernel here (a few hundred KB of int64 per temporary)
 DEFAULT_CHUNK = 65536
 
-#: ``reduce`` by op name, for a chunk's or shard's partial and for their
-#: combine: the ufunc reductions ``np.sum`` and friends wrap, called
+#: ``reduce`` by op name, one whole-vector call on every engine but the
+#: serial oracle: the ufunc reductions ``np.sum`` and friends wrap, called
 #: directly (``any``/``all`` reduce in bool, as those do)
 REDUCERS = {"sum": partial(np.add.reduce, axis=None),
             "max": partial(np.maximum.reduce, axis=None),

@@ -3,14 +3,16 @@
 :class:`DistributedBackend` turns the blocked backend's chunk loop inside
 out: instead of one process sweeping chunks serially, a
 :class:`~repro.cluster.pool.WorkerPool` of OS processes each owns one
-contiguous shard in shared memory, the five carry-bearing primitives
-(``plus_scan``, ``max_scan``, the segmented sum/extreme scans, and
-``reduce``) run shard-locally in parallel, and per-shard carries meet in a
-round-efficient exclusive exchange.  Everything else — elementwise ops,
-permutations, the small-vector cases below ``min_distribute`` — runs
-in-process as :class:`NumPyBackend` does (the blocked engine's one-chunk
-steps, with the same carry monoids the workers run), because shipping a
-100-element vector through shared memory buys nothing but latency.
+contiguous shard in shared memory, the four scans (``plus_scan``,
+``max_scan`` and the segmented sum/extreme scans) run shard-locally in
+parallel, and per-shard carries meet in a round-efficient exclusive
+exchange.  Everything else — ``reduce``, elementwise ops, permutations,
+the small-vector cases below ``min_distribute`` — runs in-process as
+:class:`NumPyBackend` does (the blocked engine's one-chunk steps, with the
+same carry monoids the workers run).  Shipping a 100-element vector
+through shared memory buys nothing but latency, and a ``reduce`` would
+copy n elements in only to get one scalar back, so float sums also keep
+numpy's bits.
 
 The supervision story (see :mod:`repro.cluster.pool` and
 ``docs/distributed.md``): worker failures are classified, retried with
@@ -63,8 +65,7 @@ class DistributedBackend(NumPyBackend):
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  min_distribute: int = DEFAULT_MIN_DISTRIBUTE,
                  policy: Optional[RetryPolicy] = None,
-                 chaos: Optional[ChaosPlan] = None,
-                 pool: Optional[WorkerPool] = None) -> None:
+                 chaos: Optional[ChaosPlan] = None) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         if min_distribute < 1:
@@ -74,10 +75,10 @@ class DistributedBackend(NumPyBackend):
         self.min_distribute = int(min_distribute)
         self._policy = policy
         self._chaos = chaos
-        # explicit policy/chaos/pool → a private pool this backend owns;
+        # explicit policy/chaos → a private pool this backend owns;
         # otherwise the process-wide shared pool for this worker count
-        self._pool = pool
-        self._private = pool is not None or policy is not None or chaos is not None
+        self._pool: Optional[WorkerPool] = None
+        self._private = policy is not None or chaos is not None
 
     @classmethod
     def from_spec(cls, arg: str) -> "DistributedBackend":
@@ -126,18 +127,18 @@ class DistributedBackend(NumPyBackend):
         return self.pool.ledger
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """A carry-bearing op's host storage is the result copy alone:
+        """A sharded scan's host storage is the result copy alone:
         operands and output live in the pool's shared-memory arena, which
         persists across ops (at most 2x the latest op's bytes per role)
         and so is no per-op temporary.  An estimate for observability;
         nothing is charged for it."""
         if op in ("plus_scan", "max_scan", "seg_plus_scan",
-                  "seg_extreme_scan", "reduce"):
+                  "seg_extreme_scan"):
             return out_bytes
         return super().temp_bytes(op, out_bytes)
 
     def _distribute(self, n: int) -> bool:
-        """Whether a length-``n`` carry op should go to the pool; counts
+        """Whether a length-``n`` scan should go to the pool; counts
         the local-fallback ledger lines when the answer is no."""
         if n < self.min_distribute or n == 0:
             worth = False
@@ -173,11 +174,6 @@ class DistributedBackend(NumPyBackend):
                                       identity=identity, is_max=is_max)
         return super().seg_extreme_scan(values, seg_flags, identity,
                                         is_max=is_max)
-
-    def reduce(self, values: np.ndarray, op: str):
-        if self._distribute(len(values)):
-            return self.pool.run_reduce(values, op)
-        return super().reduce(values, op)
 
     # --------------------------- lifecycle ----------------------------- #
 

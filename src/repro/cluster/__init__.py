@@ -2,11 +2,12 @@
 
 The paper's long-vector simulation (Figure 10) maps ``n`` logical
 processors onto ``p`` physical ones; this package makes the mapping real
-by sharding vectors across OS worker processes.  The layers, bottom up:
+by sharding the scans of long vectors across OS worker processes.  The layers, bottom up:
 
-* :mod:`~repro.cluster.shardops` — shard checksums, shared by workers
-  and the supervisor, and the ``+``-scan names the layer benchmark times
-  (the shard kernels are :mod:`repro.backends.carry`'s);
+* :mod:`~repro.cluster.shardops` — the shard slicer and checksums,
+  shared by workers and the supervisor, and the ``+``-scan names the
+  layer benchmark times (the shard kernels are
+  :mod:`repro.backends.carry`'s);
 * :mod:`~repro.cluster.exchange` — the Träff-style round-efficient
   exclusive carry exchange (⌈lg p⌉ combining rounds);
 * :mod:`~repro.cluster.worker` — the child-process command loop

@@ -2,8 +2,10 @@
 
 This is the product half of the distributed backend.  The *math* of a
 sharded scan is the op's carry monoid (:mod:`repro.backends.carry`);
-everything here is about surviving the processes that run it.  A
-:class:`WorkerPool` owns N worker processes and, per distributed op:
+everything here is about surviving the processes that run it.  Only
+scans are sharded (a ``reduce`` runs in process: copying n elements into
+shared memory to return one scalar cannot pay).  A :class:`WorkerPool`
+owns N worker processes and, per distributed scan:
 
 1. copies the operands into the pool's persistent shared-memory arena
    (:class:`_ShmJob`: one segment per role, reused while the op stays in
@@ -46,12 +48,12 @@ import random
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from multiprocessing import resource_tracker
 
-from ..backends.carry import REDUCERS, monoid
+from ..backends.carry import monoid
 from ..observe.metrics import registry
 from . import shardops
 from .chaos import ChaosPlan, ChaosState
@@ -62,8 +64,16 @@ from .worker import _compute, worker_main
 __all__ = ["RetryPolicy", "WorkerPool", "shared_pool", "set_shared_chaos",
            "shutdown_all_pools"]
 
-#: ops the pool knows how to shard (reduce is single-phase)
+#: ops the pool knows how to shard
 _SCAN_OPS = ("plus_scan", "max_scan", "seg_plus", "seg_extreme")
+
+#: retry backoff: growth per attempt, and the uniform jitter fraction
+#: added on top
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
+
+#: seconds a liveness ping may go unanswered
+HEARTBEAT_TIMEOUT = 2.0
 
 #: the ledger field each failure class and chaos directive is counted in
 _FAILURE_FIELDS = {"timeout": "timeouts", "crash": "crashes",
@@ -79,24 +89,21 @@ class RetryPolicy:
     max_retries: int = 2          #: re-dispatches per shard before host fallback
     op_deadline: float = 30.0     #: seconds a worker gets per shard phase
     backoff_base: float = 0.05    #: first retry delay (seconds)
-    backoff_factor: float = 2.0   #: exponential growth per attempt
-    backoff_jitter: float = 0.5   #: uniform jitter fraction added on top
     backoff_cap: float = 2.0      #: never sleep longer than this
     heartbeat_interval: float = 5.0   #: idle seconds before a liveness ping
-    heartbeat_timeout: float = 2.0    #: seconds a ping may go unanswered
     max_worker_failures: int = 3  #: consecutive failures that retire a slot
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.op_deadline <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError("deadlines must be positive")
+        if self.op_deadline <= 0:
+            raise ValueError("op_deadline must be positive")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter."""
-        base = self.backoff_base * self.backoff_factor ** (attempt - 1)
+        base = self.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
         return min(self.backoff_cap,
-                   base * (1.0 + self.backoff_jitter * rng.random()))
+                   base * (1.0 + BACKOFF_JITTER * rng.random()))
 
 
 class _WorkerHandle:
@@ -333,7 +340,7 @@ class WorkerPool:
                 self.ledger.bump("heartbeat_failures")
                 self._recycle(h)
                 continue
-            status, _ = self._await(h, seq, self.policy.heartbeat_timeout)
+            status, _ = self._await(h, seq, HEARTBEAT_TIMEOUT)
             if status == "ok":
                 h.failures = 0
             else:
@@ -354,10 +361,10 @@ class WorkerPool:
             seconds = self.policy.op_deadline + 1.0
         return (kind, seconds)
 
-    def _send(self, handle: _WorkerHandle, cmd: dict, phase: int) -> int:
+    def _send(self, handle: _WorkerHandle, cmd: dict) -> int:
         cmd = dict(cmd)
         cmd["seq"] = handle.next_seq()
-        cmd["chaos"] = self._directive(handle, phase)
+        cmd["chaos"] = self._directive(handle, cmd["phase"])
         self.ledger.bump("shards")
         self._shard_elements.observe(cmd["stop"] - cmd["start"])
         try:
@@ -398,49 +405,49 @@ class WorkerPool:
         return (shardops.shard_checksum(out_slice, reply.get("carry"))
                 == reply["checksum"])
 
+    def _settle(self, handle: _WorkerHandle, job: _ShmJob, cmd: dict,
+                seq: int, timeout: float):
+        """Await one shard reply and check it against its checksum.
+
+        Returns ``(True, carry)`` for a good reply.  Any other outcome is
+        classified (``timeout``, ``crash`` or ``corrupt``), counted, and
+        answered by recycling the worker; then ``(False, None)``."""
+        status, reply = self._await(handle, seq, timeout)
+        if status == "ok" and not self._checksum_ok(job, cmd, reply):
+            status = "corrupt"
+        if status == "ok":
+            handle.failures = 0
+            return True, reply.get("carry")
+        self.ledger.bump(_FAILURE_FIELDS[status])
+        self._recycle(handle)
+        return False, None
+
     def _host_shard(self, job: _ShmJob, cmd: dict):
-        """Degraded path: compute the shard in-process with the exact
-        worker kernels (see :func:`repro.cluster.worker._compute`)."""
-        start, stop = cmd["start"], cmd["stop"]
-        values = flags = out = None
-        if cmd["values"] is not None:
-            values = job.view("values")[start:stop]
-        if cmd["flags"] is not None:
-            flags = job.view("flags")[start:stop]
-        if cmd["out"] is not None:
-            out = job.view("out")[start:stop]
+        """Degraded path: compute the shard in-process with the worker's
+        own slicer and kernels (see :func:`repro.cluster.worker._compute`)."""
         with np.errstate(all="ignore"):
-            return _compute(cmd, values, flags, out)
+            return _compute(cmd, *shardops.shard_views(cmd, job.view))
 
-    def _idle_live_worker(self, busy: set) -> Optional[_WorkerHandle]:
-        for h in self._slots:
-            if h.alive and h.slot not in busy:
-                return h
-        return None
-
-    def _retry_shard(self, job: _ShmJob, cmd: dict, busy: set):
-        """The retry ladder for one already-failed shard.  The failure
-        that brought us here is on the books; every pass through the loop
-        answers the latest failure with exactly one retry or one
-        degradation, keeping the ledger invariant."""
+    def _retry_shard(self, job: _ShmJob, cmd: dict):
+        """The retry ladder for one already-failed shard, run once its
+        wave has settled, so every pipe is idle.  The failure that brought
+        us here is on the books; every pass through the loop answers the
+        latest failure with exactly one retry or one degradation, keeping
+        the ledger invariant."""
         attempt = 0
         while True:
             attempt += 1
-            worker = self._idle_live_worker(busy)
-            if attempt > self.policy.max_retries or worker is None:
+            live = self.live_workers()
+            if attempt > self.policy.max_retries or not live:
                 self.ledger.bump("degraded_shards")
                 return self._host_shard(job, cmd)
             self.ledger.bump("retries")
             time.sleep(self.policy.delay(attempt, self._rng))
-            seq = self._send(worker, cmd, cmd["phase"])
-            status, reply = self._await(worker, seq, self.policy.op_deadline)
-            if status == "ok" and not self._checksum_ok(job, cmd, reply):
-                status = "corrupt"
-            if status == "ok":
-                worker.failures = 0
-                return reply.get("carry")
-            self.ledger.bump(_FAILURE_FIELDS[status])
-            self._recycle(worker)
+            seq = self._send(live[0], cmd)
+            ok, carry = self._settle(live[0], job, cmd, seq,
+                                     self.policy.op_deadline)
+            if ok:
+                return carry
 
     def _run_phase(self, job: _ShmJob, shard_cmds: list):
         """Execute one phase's shard commands across the pool in waves.
@@ -466,25 +473,19 @@ class WorkerPool:
             wave, pending = pending[:len(live)], pending[len(live):]
             dispatched = []
             for handle, (shard, cmd) in zip(live, wave):
-                seq = self._send(handle, cmd, cmd["phase"])
+                seq = self._send(handle, cmd)
                 dispatched.append((handle, shard, cmd, seq, time.monotonic()))
             failed = []
             for handle, shard, cmd, seq, t0 in dispatched:
                 timeout = max(0.0, t0 + self.policy.op_deadline
                               - time.monotonic())
-                status, reply = self._await(handle, seq, timeout)
-                if status == "ok" and not self._checksum_ok(job, cmd, reply):
-                    status = "corrupt"
-                if status == "ok":
-                    handle.failures = 0
-                    results[shard] = reply.get("carry")
-                    continue
-                self.ledger.bump(_FAILURE_FIELDS[status])
-                self._recycle(handle)
-                failed.append((shard, cmd))
-            busy: set = set()  # the wave is fully settled; every pipe is idle
+                ok, carry = self._settle(handle, job, cmd, seq, timeout)
+                if ok:
+                    results[shard] = carry
+                else:
+                    failed.append((shard, cmd))
             for shard, cmd in failed:
-                results[shard] = self._retry_shard(job, cmd, busy)
+                results[shard] = self._retry_shard(job, cmd)
         return results
 
     # ------------------------- distributed ops ------------------------- #
@@ -513,12 +514,6 @@ class WorkerPool:
         # NaN compares False: it is dispatched
         return offset is ident or bool(offset == ident)
 
-    def _begin_op(self, n: int) -> None:
-        self._op_index = self.ledger.ops_distributed
-        self.ledger.bump("ops")
-        self.ledger.bump("ops_distributed")
-        self._ensure_alive()
-
     def run_scan(self, op: str, values: np.ndarray,
                  flags: Optional[np.ndarray] = None,
                  identity=None, is_max: bool = False) -> np.ndarray:
@@ -527,9 +522,11 @@ class WorkerPool:
         if op not in _SCAN_OPS:
             raise ValueError(f"unknown distributed op {op!r}")
         n = len(values)
-        self._begin_op(n)
-        live = self.live_workers()
-        shards = self._partition(n, max(1, len(live)))
+        self._op_index = self.ledger.ops_distributed
+        self.ledger.bump("ops")
+        self.ledger.bump("ops_distributed")
+        self._ensure_alive()
+        shards = self._partition(n, max(1, len(self.live_workers())))
         job = self.arena
         # "out" takes its shape and dtype from values; nothing is copied
         job.load({"values": values, "flags": flags, "out": values})
@@ -539,8 +536,7 @@ class WorkerPool:
             "flags": job.names["flags"] if flags is not None else None,
             "out": job.names["out"], "dtype": values.dtype.str,
             "flags_dtype": flags.dtype.str if flags is not None else None,
-            "identity": identity, "is_max": is_max,
-            "reduce_op": None, "carry": None,
+            "identity": identity, "is_max": is_max, "carry": None,
         }
         phase1 = [(i, {**base, "phase": 1, "out": None,
                        "start": s, "stop": e})
@@ -564,27 +560,6 @@ class WorkerPool:
         self._run_phase(job, phase2)
         return np.array(job.view("out"), copy=True)
 
-    def run_reduce(self, values: np.ndarray, reduce_op: str):
-        """A sharded reduction: per-shard partials, combined host-side by
-        a second reduction over them."""
-        n = len(values)
-        self._begin_op(n)
-        live = self.live_workers()
-        shards = self._partition(n, max(1, len(live)))
-        job = self.arena
-        job.load({"values": values})
-        cmds = [(i, {"cmd": "op", "op": "reduce", "phase": 1,
-                     "n": n, "start": s, "stop": e,
-                     "values": job.names["values"], "flags": None,
-                     "out": None, "dtype": values.dtype.str,
-                     "flags_dtype": None, "identity": None,
-                     "is_max": False, "reduce_op": reduce_op,
-                     "carry": None})
-                for i, (s, e) in enumerate(shards)]
-        partials_by_shard = self._run_phase(job, cmds)
-        partials = [partials_by_shard[i] for i in range(len(shards))]
-        return REDUCERS[reduce_op](np.array(partials))
-
 
 # ----------------------- process-wide pool registry ---------------------- #
 
@@ -593,7 +568,7 @@ _SHARED: dict = {}
 _SHARED_CHAOS: Optional[ChaosPlan] = None
 
 
-def shared_pool(workers: int, policy: Optional[RetryPolicy] = None) -> WorkerPool:
+def shared_pool(workers: int) -> WorkerPool:
     """Get (or lazily create) the process-wide pool for ``workers``.
 
     Machines are cheap and plentiful (the fuzzer builds one per case); OS
@@ -602,7 +577,7 @@ def shared_pool(workers: int, policy: Optional[RetryPolicy] = None) -> WorkerPoo
     """
     pool = _SHARED.get(workers)
     if pool is None or pool.closed:
-        pool = WorkerPool(workers, policy=policy, chaos=_SHARED_CHAOS)
+        pool = WorkerPool(workers, chaos=_SHARED_CHAOS)
         _SHARED[workers] = pool
     return pool
 

@@ -1,4 +1,4 @@
-"""Shard-local helpers: checksums and the ``+``-scan names.
+"""Shard-local helpers: the shard slicer, checksums and the ``+``-scan names.
 
 A distributed scan is the paper's Figure 10 schedule lifted onto OS
 processes, as reduce-then-scan: each worker owns one contiguous shard and
@@ -9,15 +9,16 @@ with its incoming carry folded in.  Both passes are the carry monoids of
 :mod:`repro.backends.carry` — ``carry_out`` in phase 1, ``local`` and
 ``apply`` in phase 2, ``combine`` in the exchange — the very ones the
 blocked engine's chunk loop runs (a shard is a chunk that happens to live
-in another process).  A sharded ``reduce`` is
-:data:`repro.backends.carry.REDUCERS` itself, once per shard and once
-over the partials.
+in another process).  Only scans are sharded: a ``reduce`` returns one
+scalar, so copying its operand into shared memory cannot pay, and the
+backend runs it in process.
 The worker processes (:mod:`repro.cluster.worker`) and the supervisor's
-degraded host-side path (:mod:`repro.cluster.pool`) call the same
-functions, so recovery can never change a result.  For integer and
-boolean vectors every distributed result is bit-identical to the numpy
-backend; float ``+``-carries may legitimately re-associate, exactly as a
-real message-passing machine would.
+degraded host-side path (:mod:`repro.cluster.pool`) cut a shard out of a
+command with the same :func:`shard_views` and call the same functions, so
+recovery can never change a result.  For integer and boolean vectors every
+distributed result is bit-identical to the numpy backend; float
+``+``-carries may legitimately re-associate, exactly as a real
+message-passing machine would.
 
 Checksums (:func:`shard_checksum`) cover what a phase produced: the carry
 payload in phase 1, the shard's output bytes in phase 2.  A worker that
@@ -39,7 +40,18 @@ __all__ = [
     "plus_scan_apply",
     "plus_scan_shard",
     "shard_checksum",
+    "shard_views",
 ]
+
+
+def shard_views(cmd: dict, whole):
+    """The ``(values, flags, out)`` slices one shard command covers.
+
+    ``whole(role)`` returns the role's full-length array; a role the
+    command names as ``None`` stays ``None``."""
+    start, stop = cmd["start"], cmd["stop"]
+    return tuple(None if cmd[role] is None else whole(role)[start:stop]
+                 for role in ("values", "flags", "out"))
 
 
 # --------------------------------------------------------------------- #

@@ -7,13 +7,14 @@ cross the pipe — they live in the pool's shared-memory arena
 (``values``, ``flags``, ``out``) that the command names.  The worker keeps
 its attachment per role across commands and re-attaches only when a
 command names a different segment (the pool replaced it), closing the
-stale attachment first.  The compute itself is a straight call into the
-op's carry monoid (:func:`repro.backends.carry.monoid`): ``carry_out``
-in phase 1, which reads the shard and writes nothing, then ``local`` and
-``apply`` of the incoming carry in phase 2, which write each output byte
-of the shard once — the same functions the supervisor uses for degraded
-host-side shards.  Phase 2 rewrites its whole shard, so running it again
-(a retry) is harmless.
+stale attachment first.  It cuts its shard out of the segments with
+:func:`repro.cluster.shardops.shard_views`, and the compute is a straight
+call into the op's carry monoid (:func:`repro.backends.carry.monoid`):
+``carry_out`` in phase 1, which reads the shard and writes nothing, then
+``local`` and ``apply`` of the incoming carry in phase 2, which write each
+output byte of the shard once.  The supervisor's degraded host-side path
+runs the same slicer and the same :func:`_compute`.  Phase 2 rewrites its
+whole shard, so running it again (a retry) is harmless.
 
 Protocol (one reply per command, matched by ``seq``):
 
@@ -49,7 +50,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..backends.carry import REDUCERS, monoid
+from ..backends.carry import monoid
 from . import shardops
 
 __all__ = ["worker_main"]
@@ -65,16 +66,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
-def _view(shm, dtype, n, start, stop) -> np.ndarray:
-    return np.ndarray(n, dtype=dtype, buffer=shm.buf)[start:stop]
-
-
 def _compute(cmd, values, flags, out):
     """Run one shard phase; returns the carry payload (or ``None``)."""
-    op = cmd["op"]
-    if op == "reduce":
-        return REDUCERS[cmd["reduce_op"]](values)
-    algebra = monoid(op, values.dtype, cmd["identity"], cmd["is_max"])
+    algebra = monoid(cmd["op"], values.dtype, cmd["identity"], cmd["is_max"])
     if cmd["phase"] == 1:
         return algebra.carry_out(values, flags)
     algebra.local(values, flags, out)
@@ -106,19 +100,14 @@ def _run_op(cmd, attached: dict) -> dict:
     if chaos is not None and chaos[0] == "hang":
         time.sleep(chaos[1])
 
+    def whole(role):  # the full-length array in the segment cmd names
+        dtype = cmd["flags_dtype" if role == "flags" else "dtype"]
+        return np.ndarray(cmd["n"], dtype=dtype,
+                          buffer=_segment(attached, role, cmd[role]).buf)
+
     values = flags = out = None
     try:
-        n, start, stop = cmd["n"], cmd["start"], cmd["stop"]
-        if cmd["values"] is not None:
-            values = _view(_segment(attached, "values", cmd["values"]),
-                           cmd["dtype"], n, start, stop)
-        if cmd["flags"] is not None:
-            flags = _view(_segment(attached, "flags", cmd["flags"]),
-                          cmd["flags_dtype"], n, start, stop)
-        if cmd["out"] is not None:
-            out = _view(_segment(attached, "out", cmd["out"]),
-                        cmd["dtype"], n, start, stop)
-
+        values, flags, out = shardops.shard_views(cmd, whole)
         with np.errstate(all="ignore"):
             carry = _compute(cmd, values, flags, out)
         checksum = shardops.shard_checksum(out, carry)

@@ -163,10 +163,10 @@ class Vector:
         return f"Vector({self._data.tolist()!r})"
 
     def __eq__(self, other) -> "Vector":  # type: ignore[override]
-        return self._binary(other, np.equal, dtype=bool)
+        return self._binary(other, np.equal)
 
     def __ne__(self, other) -> "Vector":  # type: ignore[override]
-        return self._binary(other, np.not_equal, dtype=bool)
+        return self._binary(other, np.not_equal)
 
     def __hash__(self):  # vectors are containers, not keys
         raise TypeError("Vector is unhashable")
@@ -212,19 +212,18 @@ class Vector:
     # backend's fresh result inline (the body of ``_adopt``; an
     # elementwise result of 1-D operands is always 1-D).
 
-    def _binary(self, other, func: Callable, dtype=None) -> "Vector":
+    def _binary(self, other, func: Callable) -> "Vector":
         m, n = self.machine, self._n
         if isinstance(other, Vector):
             self._check_same_machine(other)
         m.charge_elementwise(n)
         if m.fusion_enabled:
             rhs = other._operand() if isinstance(other, Vector) else other
-            return self._defer_op(func, (self._operand(), rhs), dtype)
+            return self._defer_op(func, (self._operand(), rhs))
         lhs = self._storage if self._expr is None else self._data
         if isinstance(other, Vector):
             other = other._storage if other._expr is None else other._data
-        fn = func if dtype is None else (lambda *a: func(*a).astype(dtype))
-        out = m.execute("elementwise", fn, lhs, other, inject="elementwise")
+        out = m.execute("elementwise", func, lhs, other, inject="elementwise")
         out.setflags(write=False)
         res = _new(Vector)
         res.machine, res._storage, res._expr, res._n = m, out, None, n
@@ -302,35 +301,35 @@ class Vector:
         return self._unary(np.abs)
 
     def __lt__(self, other) -> "Vector":
-        return self._binary(other, np.less, dtype=bool)
+        return self._binary(other, np.less)
 
     def __le__(self, other) -> "Vector":
-        return self._binary(other, np.less_equal, dtype=bool)
+        return self._binary(other, np.less_equal)
 
     def __gt__(self, other) -> "Vector":
-        return self._binary(other, np.greater, dtype=bool)
+        return self._binary(other, np.greater)
 
     def __ge__(self, other) -> "Vector":
-        return self._binary(other, np.greater_equal, dtype=bool)
+        return self._binary(other, np.greater_equal)
 
     def __and__(self, other) -> "Vector":
         if self.dtype == np.bool_:
-            return self._binary(other, np.logical_and, dtype=bool)
+            return self._binary(other, np.logical_and)
         return self._binary(other, np.bitwise_and)
 
     def __or__(self, other) -> "Vector":
         if self.dtype == np.bool_:
-            return self._binary(other, np.logical_or, dtype=bool)
+            return self._binary(other, np.logical_or)
         return self._binary(other, np.bitwise_or)
 
     def __xor__(self, other) -> "Vector":
         if self.dtype == np.bool_:
-            return self._binary(other, np.logical_xor, dtype=bool)
+            return self._binary(other, np.logical_xor)
         return self._binary(other, np.bitwise_xor)
 
     def __invert__(self) -> "Vector":
         if self.dtype == np.bool_:
-            return self._unary(np.logical_not, dtype=bool)
+            return self._unary(np.logical_not)
         return self._unary(np.bitwise_not)
 
     def __rshift__(self, other) -> "Vector":

@@ -101,11 +101,6 @@ class ServeClient:
     # Requests
     # ------------------------------------------------------------------ #
 
-    async def send_raw(self, payload: bytes) -> None:
-        """Write raw bytes (the chaos tests speak garbage on purpose)."""
-        self._writer.write(payload)
-        await self._writer.drain()
-
     async def request(self, op: str, values=None, *, dtype=None,
                       seg_lengths: Optional[Sequence[int]] = None,
                       tenant: Optional[str] = None,

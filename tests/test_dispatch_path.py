@@ -30,8 +30,9 @@ BEFORE = {"v+1": 16, "v<5": 17, "where": 20, "plus_scan": 22,
           "seg_plus_scan": 63, "seg_min_distribute": 76, "seg_copy": 51}
 TOTAL_BUDGET = sum(BEFORE.values()) // 2
 #: numpy's total once it became the one-chunk blocked engine (each scan
-#: pays one ``_scan`` frame over the deleted whole-vector bodies)
-NUMPY_TOTAL = 155
+#: pays one ``_scan`` frame over the deleted whole-vector bodies), less
+#: the ``astype(bool)`` wrapper comparisons no longer pay
+NUMPY_TOTAL = 154
 
 _PACKAGE = os.sep + "repro" + os.sep
 

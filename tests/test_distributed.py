@@ -137,8 +137,25 @@ class TestShardedCorrectness:
 
     @pytest.mark.parametrize("op", ["sum", "max", "min"])
     def test_reduce(self, dist, op):
-        values = _rng(11).integers(-1000, 1000, size=5000)
+        r = _rng(11)
+        values = r.integers(-1000, 1000, size=5000)
         assert dist.reduce(values, op) == self.oracle.reduce(values, op)
+        # a reduce runs in process, so no shard boundary re-associates a
+        # float sum: it is numpy's, bit for bit
+        for n in (5000, 100_003):
+            floats = r.standard_normal(n)
+            got, want = dist.reduce(floats, op), self.oracle.reduce(floats, op)
+            assert got.dtype == want.dtype and got == want, (n, got, want)
+
+    def test_reduce_never_spawns_a_pool(self):
+        backend = DistributedBackend(workers=2, min_distribute=1,
+                                     policy=QUICK)
+        try:
+            values = _rng(12).integers(0, 100, size=10_000)
+            assert backend.reduce(values, "sum") == values.sum()
+            assert backend._pool is None
+        finally:
+            backend.shutdown()
 
     def test_million_element_scan(self, dist):
         values = _rng(42).integers(0, 1000, size=1_000_003)
