@@ -79,6 +79,9 @@ class DistributedBackend(NumPyBackend):
         # otherwise the process-wide shared pool for this worker count
         self._pool: Optional[WorkerPool] = None
         self._private = policy is not None or chaos is not None
+        #: local scans run before a pool existed to count them; handed
+        #: to the pool's ledger when it first resolves
+        self._local_before_pool = 0
 
     @classmethod
     def from_spec(cls, arg: str) -> "DistributedBackend":
@@ -119,6 +122,10 @@ class DistributedBackend(NumPyBackend):
                                         chaos=self._chaos)
             else:
                 self._pool = shared_pool(self.workers)
+            if self._local_before_pool:
+                self._pool.ledger.bump("ops", self._local_before_pool)
+                self._pool.ledger.bump("ops_local", self._local_before_pool)
+                self._local_before_pool = 0
         return self._pool
 
     @property
@@ -144,9 +151,12 @@ class DistributedBackend(NumPyBackend):
             worth = False
         else:
             worth = self.pool.available  # spawns the pool on first need
-        if not worth and self._pool is not None:
-            self._pool.ledger.bump("ops")
-            self._pool.ledger.bump("ops_local")
+        if not worth:
+            if self._pool is None:
+                self._local_before_pool += 1
+            else:
+                self._pool.ledger.bump("ops")
+                self._pool.ledger.bump("ops_local")
         return worth
 
     # ---------------------- distributed primitives --------------------- #

@@ -649,7 +649,8 @@ def main(argv: list[str] | None = None) -> int:
                          "distributed:<workers>:<chunks>, ...); default "
                          "honors REPRO_BACKEND")
     ps.add_argument("--window", type=float, default=0.002,
-                    help="batching window in seconds")
+                    help="longest a batchable request waits for company, "
+                         "in seconds")
     ps.add_argument("--max-batch", type=int, default=64,
                     help="most requests coalesced into one mega-op")
     ps.add_argument("--max-pending", type=int, default=1024,

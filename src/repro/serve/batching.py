@@ -22,9 +22,11 @@ serial one-request run.  Three rules keep it that way:
   which passes over NaN rather than propagating it; both are documented
   engine departures (``docs/verification.md``) that a *solo* run does
   not take.
-  Float jobs ride the serial path and stay bit-identical to it.
-* empty vectors run solo: their result dtype is an identity question,
-  answered by the real op rather than re-derived here.
+  Float jobs ride the serial path and skip the window, and stay
+  bit-identical to it.
+* empty vectors run solo (and skip the window too): their result dtype
+  is an identity question, answered by the real op rather than
+  re-derived here.
 
 The mega-op *shape* itself — heterogeneous per-request segment layouts
 concatenated into one flag vector — is on the cross-backend conformance

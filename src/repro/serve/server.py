@@ -13,13 +13,17 @@ drains every attachment) before a per-request task starts, so a task
 never sees a half-read frame and framing never depends on the op.
 
 Every admitted request parks a future on the pending queue.  A single
-batcher task wakes on arrival, sleeps one ``batch_window`` so concurrent
-requests pile up, then drains the queue, groups entries by (op, dtype),
-chunks the groups by ``max_batch`` / ``max_batch_elements``, and runs
-each unit on the executor thread.  The executor has exactly one worker,
-so machine execution is serialized (one mega-op at a time — the event
-loop stays free to accept and queue the *next* batch meanwhile, which is
-what keeps occupancy high under load).
+batcher task wakes on arrival and waits only while waiting can still
+coalesce something: until the oldest pending request that could join a
+mega-op has waited ``batch_window`` since its admission, and not at all
+when no pending request could join one (float, ``sort``, one-bit
+backward scans, empty vectors, or ``max_batch`` 1; see
+:func:`window_delay`).  It then drains the queue, groups entries by
+(op, dtype), chunks the groups by ``max_batch`` / ``max_batch_elements``,
+and runs each unit on the executor thread.  The executor has exactly one
+worker, so machine execution is serialized (one mega-op at a time — the
+event loop stays free to accept and queue the *next* batch meanwhile,
+which is what keeps occupancy high under load).
 
 Failure handling follows the cluster's retry/degrade idiom
 (:mod:`repro.cluster.ledger`): a mega-op that raises is *degraded* —
@@ -69,7 +73,8 @@ class ServeConfig:
     backend: object = None
     model: str = "scan"
 
-    #: how long the batcher lets concurrent requests pile up (seconds)
+    #: the longest a batchable request waits for company (seconds),
+    #: counted from its admission; requests that cannot batch never wait
     batch_window: float = 0.002
     #: most requests in one mega-op
     max_batch: int = 64
@@ -94,6 +99,21 @@ class ServeConfig:
     #: injectable clock for quota refill (tests drive it by hand)
     quota_clock: Optional[Callable[[], float]] = field(default=None,
                                                       repr=False)
+
+
+def window_delay(pending: list, now: float, window: float,
+                 max_batch: int) -> float:
+    """How much longer the batcher should let arrivals pile up: until
+    the oldest pending entry that could join a mega-op has waited
+    ``window`` since admission (its ``t0``), and 0 when none could —
+    unbatchable requests gain nothing from company, and ``max_batch``
+    1 never forms a mega-op."""
+    if window <= 0 or max_batch <= 1:
+        return 0.0
+    oldest = min((e.t0 for e in pending
+                  if batchable(SERVABLE_OPS[e.req.op], e.req.values)),
+                 default=None)
+    return 0.0 if oldest is None else max(0.0, oldest + window - now)
 
 
 def classify_failure(exc: BaseException) -> tuple:
@@ -467,8 +487,13 @@ class ScanServer:
             if not self._pending:
                 continue
             # the coalescing window: let concurrent arrivals pile up
-            if self.config.batch_window > 0 and not self._draining:
-                await asyncio.sleep(self.config.batch_window)
+            # while some pending request could still gain company
+            if not self._draining:
+                delay = window_delay(
+                    self._pending, asyncio.get_running_loop().time(),
+                    self.config.batch_window, self.config.max_batch)
+                if delay > 0:
+                    await asyncio.sleep(delay)
             for op_name, entries in self._plan(self._drain_queue()):
                 await self._run_unit(op_name, entries)
 

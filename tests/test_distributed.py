@@ -551,6 +551,24 @@ class TestMachineIntegration:
         assert (m.backend.workers, m.backend.min_distribute) == (2, 1)
 
 
+class TestLocalLedger:
+    def test_local_scans_before_the_pool_are_counted(self):
+        # the first two scans stay local before any pool exists; the
+        # ledger the pool brings must still count them
+        backend = DistributedBackend(workers=2, min_distribute=1000,
+                                     policy=QUICK)
+        try:
+            for n in (10, 10, 5000, 10):
+                values = np.arange(n, dtype=np.int64)
+                np.testing.assert_array_equal(backend.plus_scan(values),
+                                              NumPyBackend().plus_scan(values))
+            led = backend.ledger
+            assert (led.ops, led.ops_distributed, led.ops_local) == (4, 1, 3)
+            assert led.ops == led.ops_distributed + led.ops_local
+        finally:
+            backend.shutdown()
+
+
 class TestAcceptance:
     """ISSUE acceptance: a seeded ChaosPlan kills a worker mid-scan of a
     million-element vector; results and step charges stay bit-identical to
