@@ -98,8 +98,9 @@ def test_memory_blocked_wins():
     n, chunk = 400_000, 4_096
     data = np.arange(n)
     # three whole-vector float64 temporaries (sin, cos, exp) on the NumPy
-    # backend; the Blocked backend holds them one 4k-element chunk at a
-    # time and only the bool result (1 byte/element) spans the vector
+    # backend; the Blocked backend defers the map and, when ``.data``
+    # forces it, runs it fused, holding them one 4k-element chunk at a
+    # time, so only the bool result (1 byte/element) spans the vector
     fn = lambda a: (np.sin(a) + np.cos(a) * np.exp(-a * 1e-9)) > 0.5
 
     peaks = {}
@@ -109,7 +110,7 @@ def test_memory_blocked_wins():
     ):
         v = machine.vector(data)
         tracemalloc.start()
-        out = v._unary(fn)
+        out = v._unary(fn).data
         _, peaks[name] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(out) == n

@@ -43,10 +43,13 @@ def _machine(backend: str, fusion: bool) -> Machine:
     return Machine("scan", backend=backend, fusion=fusion)
 
 
-def _workload(m: Machine, data: np.ndarray) -> np.ndarray:
+def _chain(v) -> np.ndarray:
     """Chained elementwise -> scan: 4 deferred steps + terminal."""
-    v = m.vector(data)
     return scans.plus_scan((v * 3 + 1) - (v // 7)).data
+
+
+def _workload(m: Machine, data: np.ndarray) -> np.ndarray:
+    return _chain(m.vector(data))
 
 
 def _best_of(fn, repeats=5):
@@ -89,16 +92,18 @@ def test_peak_temporaries_fused_vs_eager():
     peaks = {}
     for backend in BACKENDS:
         for mode, fusion in (("eager", False), ("fused", True)):
-            m = _machine(backend, fusion)
+            # the input's snapshot is the same in both modes, so it is
+            # taken before tracing: a row holds the chain and its result
+            v = _machine(backend, fusion).vector(data)
             tracemalloc.start()
-            out = _workload(m, data)
+            out = _chain(v)
             _, peaks[backend, mode] = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert len(out) == N
 
     widths = [9, 8, 14, 18]
-    lines = [f"Peak memory incl. output, elementwise chain + plus_scan "
-             f"(n={N:,}, chunk={CHUNK:,})",
+    lines = [f"Peak memory incl. output, input loaded untraced, "
+             f"elementwise chain + plus_scan (n={N:,}, chunk={CHUNK:,})",
              fmt_row(["backend", "mode", "peak (bytes)", "bytes / element"],
                      widths)]
     for (backend, mode), peak in peaks.items():

@@ -4,16 +4,18 @@ The paper simulates a long vector on ``p`` physical processors by giving
 each processor a contiguous block and sweeping: serial scan within each
 block, one cross-block scan of the partial results, then add the block
 offset back in.  :class:`BlockedBackend` executes that schedule wherever
-chunking bounds a temporary: elementwise maps, the four scans, fused
-pipelines, ``pack``, ``seg_copy``, ``seg_back_copy`` and
-``seg_distribute`` walk the vector in fixed-size chunks, carrying the
-running sum / extreme / open-segment state across chunk boundaries, so
-their temporaries never outgrow a chunk (``seg_back_copy`` and
-``seg_distribute`` also build an ``O(#segments)`` table, spread in
-chunks).  A vector of at most one chunk takes each of these in one
-whole-vector step.  Every other primitive allocates nothing but its
-result (``combine_write`` adds one ``bool`` mask), so it has one
-whole-vector body at every chunk size.  Whole-vector execution is thus
+chunking bounds a temporary: the four scans, fused pipelines, ``pack``,
+``seg_copy``, ``seg_back_copy`` and ``seg_distribute`` walk the vector
+in fixed-size chunks, carrying the running sum / extreme / open-segment
+state across chunk boundaries, so their temporaries never outgrow a
+chunk (``seg_back_copy`` and ``seg_distribute`` also build an
+``O(#segments)`` table, spread in chunks).  A vector of at most one
+chunk takes each of these in one whole-vector step.  Every other
+primitive allocates nothing but its result (``combine_write`` adds one
+``bool`` mask), so it has one whole-vector body at every chunk size.
+An eager elementwise map is one such body: it carries no state across
+chunks, so its one bounded path is fusion, which evaluates the chain
+chunk by chunk into one result buffer.  Whole-vector execution is thus
 the case of one chunk: :class:`~repro.backends.NumPyBackend` is this
 engine with a chunk that holds any vector.
 
@@ -39,9 +41,9 @@ from .carry import DEFAULT_CHUNK, REDUCERS, SEG_REDUCERS, monoid, sweep
 __all__ = ["BlockedBackend"]
 
 #: the ops whose chunk loop bounds their temporaries
-_CHUNKED = frozenset({"elementwise", "plus_scan", "max_scan",
-                      "seg_plus_scan", "seg_extreme_scan", "pack",
-                      "seg_copy", "seg_back_copy", "seg_distribute"})
+_CHUNKED = frozenset({"plus_scan", "max_scan", "seg_plus_scan",
+                      "seg_extreme_scan", "pack", "seg_copy",
+                      "seg_back_copy", "seg_distribute"})
 
 
 def _seg_ids(seg_flags: np.ndarray, first: int = 0) -> np.ndarray:
@@ -143,19 +145,7 @@ class BlockedBackend(Backend):
     # -------------------------- elementwise --------------------------- #
 
     def elementwise(self, fn: Callable, *operands) -> np.ndarray:
-        n = None
-        for op in operands:
-            if isinstance(op, np.ndarray) and op.ndim == 1:
-                n = len(op)
-                break
-        if n is None or n <= self.chunk:
-            return fn(*operands)
-        pieces = []
-        for s, e in self._spans(n):
-            sliced = [op[s:e] if isinstance(op, np.ndarray) and op.ndim == 1
-                      else op for op in operands]
-            pieces.append(fn(*sliced))
-        return np.concatenate(pieces)
+        return fn(*operands)
 
     def adjacent_ne(self, values: np.ndarray) -> np.ndarray:
         changed = np.empty(len(values), dtype=bool)

@@ -24,7 +24,6 @@ complexity of Table 5.
 """
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 from operator import attrgetter
@@ -38,31 +37,6 @@ from .capabilities import CAPABILITIES, Capabilities
 from .counters import FaultCounters, ForkCounters, StepCounter, StepSnapshot
 
 __all__ = ["Machine", "CapabilityError"]
-
-#: environment variable allowing lazy fusion (``0`` off / ``1`` on) on
-#: backends that fuse, mirroring ``REPRO_BACKEND``; an explicit
-#: ``Machine(fusion=...)`` wins
-FUSION_ENV_VAR = "REPRO_FUSION"
-
-_FUSION_VALUES = {"1": True, "true": True, "on": True, "yes": True,
-                  "0": False, "false": False, "off": False, "no": False}
-
-
-def _resolve_fusion(flag: Optional[bool]) -> bool:
-    """The machine's fusion setting: the explicit constructor flag if
-    given, else the ``REPRO_FUSION`` environment variable, else on."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(FUSION_ENV_VAR)
-    if env is None or not env.strip():
-        return True
-    try:
-        return _FUSION_VALUES[env.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"{FUSION_ENV_VAR} must be one of {sorted(_FUSION_VALUES)}, "
-            f"got {env!r}") from None
-
 
 def _fixed(name: str, doc: str) -> property:
     """A read-only public view of the private attribute ``name``, read in
@@ -129,16 +103,14 @@ class Machine:
     fusion:
         Whether elementwise vector operations may build lazy expression
         DAGs fused into single ``fused_pipeline`` primitives at observable
-        boundaries (see :mod:`repro.core.lazy` and ``docs/fusion.md``).
-        ``None`` (default) honors the ``REPRO_FUSION`` environment
-        variable (``0`` / ``1``) before falling back to allowed.  The
-        setting only takes effect on a backend that fuses (one whose
-        chunked executor consumes the DAG: ``blocked`` and ``native``);
-        every other backend runs elementwise ops eagerly either way.
-        Step charges are bit-identical in all cases — fusion changes
-        execution, never the cost model.  Fusion is suspended
-        automatically while a ``fault_injector`` is attached (injection
-        targets individual eager primitives).
+        boundaries (see :mod:`repro.core.lazy` and ``docs/fusion.md``);
+        on by default.  The setting only takes effect on a backend that
+        fuses (one whose chunked executor consumes the DAG: ``blocked``
+        and ``native``); every other backend runs elementwise ops
+        eagerly either way.  Step charges are bit-identical in all
+        cases — fusion changes execution, never the cost model.  Fusion
+        is suspended automatically while a ``fault_injector`` is
+        attached (injection targets individual eager primitives).
 
     Examples
     --------
@@ -161,7 +133,7 @@ class Machine:
         reliability=None,
         fault_injector=None,
         backend: Optional[Union[str, Backend]] = None,
-        fusion: Optional[bool] = None,
+        fusion: bool = True,
     ) -> None:
         if model not in CAPABILITIES:
             raise ValueError(
@@ -174,7 +146,7 @@ class Machine:
         self._model = model
         self._capabilities: Capabilities = CAPABILITIES[model]
         self._backend: Backend = resolve_backend(backend)
-        self._fusion: bool = _resolve_fusion(fusion)
+        self._fusion = bool(fusion)
         self._num_processors = num_processors
         # the processor count the charges compute with: unbounded is
         # larger than any vector (see the charging section)

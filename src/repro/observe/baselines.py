@@ -21,7 +21,6 @@ gated on.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Optional
 
@@ -35,18 +34,12 @@ __all__ = [
     "write_baseline",
 ]
 
-#: environment override for the baseline directory
-BASELINE_DIR_ENV_VAR = "REPRO_BASELINE_DIR"
-
 _SCHEMA = "repro.observe.baseline/v1"
 
 
 def default_baseline_dir() -> pathlib.Path:
-    """``$REPRO_BASELINE_DIR`` if set, else ``baselines/`` at the
-    repository root (resolved relative to this source tree)."""
-    env = os.environ.get(BASELINE_DIR_ENV_VAR)
-    if env:
-        return pathlib.Path(env)
+    """``baselines/`` at the repository root (resolved relative to this
+    source tree)."""
     # src/repro/observe/baselines.py -> repo root is three parents above src/
     return pathlib.Path(__file__).resolve().parents[3] / "baselines"
 

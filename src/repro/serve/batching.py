@@ -58,15 +58,13 @@ class ServeOp:
     ``solo`` runs one request on its own machine; ``fused`` is the
     segmented form a batch of such requests collapses into (``None``
     means the op never batches).  ``segmented`` ops require the request
-    to carry its own ``seg_lengths``; ``additive`` marks the +-family
-    (float association caveats, see module docstring).
+    to carry its own ``seg_lengths``.
     """
 
     name: str
     solo: Callable      #: (Machine, values, seg_flags|None) -> ndarray
     fused: Optional[Callable]  #: (Machine, values, flags) -> ndarray
     segmented: bool = False
-    additive: bool = False
 
 
 def _plain(fn) -> Callable:
@@ -89,25 +87,18 @@ def _sort_solo(m: Machine, v: np.ndarray, sf) -> np.ndarray:
 SERVABLE_OPS: dict[str, ServeOp] = {}
 
 
-def _register(name: str, solo, fused, *, segmented=False, additive=False):
+def _register(name: str, solo, fused, *, segmented=False):
     SERVABLE_OPS[name] = ServeOp(name=name, solo=solo, fused=fused,
-                                 segmented=segmented, additive=additive)
+                                 segmented=segmented)
 
 
 # Unsegmented scans: a batch is the segmented scan over request-boundary
 # flags (Figure 16's construction, run in reverse: many solo scans
 # *become* one segmented scan).
-for _n, _f, _a in [
-    ("plus_scan", segmented.seg_plus_scan, True),
-    ("max_scan", segmented.seg_max_scan, False),
-    ("min_scan", segmented.seg_min_scan, False),
-    ("or_scan", segmented.seg_or_scan, False),
-    ("and_scan", segmented.seg_and_scan, False),
-    ("back_plus_scan", segmented.seg_back_plus_scan, True),
-    ("back_max_scan", segmented.seg_back_max_scan, False),
-    ("back_min_scan", segmented.seg_back_min_scan, False),
-]:
-    _register(_n, _plain(getattr(scans, _n)), _seg(_f), additive=_a)
+for _n in ("plus_scan", "max_scan", "min_scan", "or_scan", "and_scan",
+           "back_plus_scan", "back_max_scan", "back_min_scan"):
+    _register(_n, _plain(getattr(scans, _n)),
+              _seg(getattr(segmented, f"seg_{_n}")))
 
 # no segmented counterpart exists for the backward one-bit scans: solo only
 for _n in ("back_or_scan", "back_and_scan"):
@@ -118,25 +109,20 @@ for _n in ("back_or_scan", "back_and_scan"):
 for _k in ("plus", "max", "min", "or", "and"):
     _register(f"{_k}_distribute",
               _plain(getattr(scans, f"{_k}_distribute")),
-              _seg(getattr(segmented, f"seg_{_k}_distribute")),
-              additive=(_k == "plus"))
+              _seg(getattr(segmented, f"seg_{_k}_distribute")))
 
 # Segmented requests fuse by concatenating their flag vectors: each
 # request's first element begins a segment, so the combined layout is
 # exactly the per-request layouts laid head to tail (the "batched
 # heterogeneous segmented scan" shape).
-for _n, _a in [
-    ("seg_plus_scan", True), ("seg_max_scan", False),
-    ("seg_min_scan", False), ("seg_or_scan", False),
-    ("seg_and_scan", False), ("seg_back_plus_scan", True),
-    ("seg_back_max_scan", False), ("seg_back_min_scan", False),
-    ("seg_copy", False), ("seg_back_copy", False),
-    ("seg_plus_distribute", True), ("seg_max_distribute", False),
-    ("seg_min_distribute", False), ("seg_or_distribute", False),
-    ("seg_and_distribute", False),
-]:
+for _n in ("seg_plus_scan", "seg_max_scan", "seg_min_scan", "seg_or_scan",
+           "seg_and_scan", "seg_back_plus_scan", "seg_back_max_scan",
+           "seg_back_min_scan", "seg_copy", "seg_back_copy",
+           "seg_plus_distribute", "seg_max_distribute",
+           "seg_min_distribute", "seg_or_distribute",
+           "seg_and_distribute"):
     _fn = getattr(segmented, _n)
-    _register(_n, _seg(_fn), _seg(_fn), segmented=True, additive=_a)
+    _register(_n, _seg(_fn), _seg(_fn), segmented=True)
 
 # Sorts run solo: a batched sort would be a segmented quicksort, whose
 # pivot schedule (hence result order for equal keys) differs from the

@@ -103,8 +103,7 @@ class ServeClient:
 
     async def request(self, op: str, values=None, *, dtype=None,
                       seg_lengths: Optional[Sequence[int]] = None,
-                      tenant: Optional[str] = None,
-                      extra: Optional[dict] = None) -> dict:
+                      tenant: Optional[str] = None) -> dict:
         """One request -> the raw response dict (pipelining-safe)."""
         self._next_id += 1
         req_id = self._next_id
@@ -117,8 +116,6 @@ class ServeClient:
             obj["seg_lengths"] = [int(x) for x in seg_lengths]
         if tenant is not None:
             obj["tenant"] = tenant
-        if extra:
-            obj.update(extra)
 
         if self._reader_task.done():
             raise ConnectionResetError("connection already closed")

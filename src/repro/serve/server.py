@@ -116,6 +116,11 @@ def window_delay(pending: list, now: float, window: float,
     return 0.0 if oldest is None else max(0.0, oldest + window - now)
 
 
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
 def classify_failure(exc: BaseException) -> tuple:
     """Map an execution failure to a structured error, cluster-style:
     input-shaped exceptions (``ValueError`` covers ``SegmentError`` and
@@ -233,6 +238,9 @@ class ScanServer:
         self._outstanding = 0        #: admitted, future not yet resolved
         self._wake = asyncio.Event()
         self._draining = False
+        #: the batch window's wait: its timer resolves it, and so does
+        #: shutdown (an arrival does not)
+        self._window: Optional[asyncio.Future] = None
         self._stopped = False
         self._writers: set = set()
         self._dead_writers: set = set()
@@ -272,6 +280,8 @@ class ScanServer:
         if self._stopped:
             return
         self._draining = True
+        if self._window is not None:
+            _resolve(self._window)
         if self._server is not None:
             # close() alone: wait_closed() blocks on open *client*
             # connections since 3.12.1, and those are ours to tear down
@@ -489,11 +499,14 @@ class ScanServer:
             # the coalescing window: let concurrent arrivals pile up
             # while some pending request could still gain company
             if not self._draining:
-                delay = window_delay(
-                    self._pending, asyncio.get_running_loop().time(),
-                    self.config.batch_window, self.config.max_batch)
+                loop = asyncio.get_running_loop()
+                delay = window_delay(self._pending, loop.time(),
+                                     self.config.batch_window,
+                                     self.config.max_batch)
                 if delay > 0:
-                    await asyncio.sleep(delay)
+                    self._window = loop.create_future()
+                    loop.call_later(delay, _resolve, self._window)
+                    await self._window
             for op_name, entries in self._plan(self._drain_queue()):
                 await self._run_unit(op_name, entries)
 

@@ -583,6 +583,24 @@ class TestBlockedCarries:
 
         assert peak_blocked < peak_numpy / 2
 
+    def test_eager_elementwise_holds_only_its_result(self):
+        """An eager elementwise map carries nothing across chunks, so it
+        is one whole-vector call at every chunk size: it peaks at its
+        result, with no per-chunk pieces to concatenate (bounding its
+        temporaries is fusion's job)."""
+        import tracemalloc
+
+        n = 1 << 20
+        m = Machine("scan", backend=BlockedBackend(chunk=4_096),
+                    fusion=False)
+        a, b = m.vector(np.arange(n)), m.vector(np.arange(n, 0, -1))
+        tracemalloc.start()
+        out = (a + b).data
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert np.array_equal(out, np.full(n, n))
+        assert peak <= 1.1 * out.nbytes
+
     @pytest.mark.parametrize("op", ["min", "max", "sum", "any"])
     def test_combine_write_estimate_covers_its_buffers(self, op):
         """``combine_write`` has one whole-vector body at every chunk

@@ -16,7 +16,6 @@ from repro.backends.plan import FusedPlan, PlanStep
 from repro.core import scans, segmented
 from repro.core.lazy import LazyNode, compile_plan, probe_dtype
 from repro.faults import FaultInjector, FaultPlan
-from repro.machine.model import FUSION_ENV_VAR
 
 
 def fused(backend="blocked"):
@@ -139,31 +138,15 @@ class TestNonFusingBackends:
     def test_fusing_backends_declare_it(self):
         assert Machine("scan", backend="blocked", fusion=True).fusion_enabled
         assert Machine("scan", backend="native", fusion=True).fusion_enabled
+        # and the switch turns it off there: elementwise ops run eagerly
+        m = Machine("scan", backend="blocked", fusion=False)
+        assert not m.fusion_enabled
+        assert (m.vector([1]) + 1)._expr is None
 
 
 class TestToggles:
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "0")
-        m = Machine("scan")
-        assert m.fusion is False
-        assert (m.vector([1]) + 1)._expr is None
-
-    def test_env_on(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "1")
+    def test_default_is_on(self):
         assert Machine("scan").fusion is True
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        assert Machine("scan").fusion is True
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "0")
-        assert Machine("scan", fusion=True).fusion is True
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=FUSION_ENV_VAR):
-            Machine("scan")
 
     def test_repr_and_snapshot_surface_fusion(self):
         m = fused()

@@ -44,11 +44,8 @@ def test_baselines_are_committed_for_every_workload():
     assert sorted(BASELINES) == available_algorithms()
 
 
-def test_default_dir_resolves_to_the_committed_baselines(monkeypatch):
-    monkeypatch.delenv("REPRO_BASELINE_DIR", raising=False)
+def test_default_dir_resolves_to_the_committed_baselines():
     assert default_baseline_dir() == BASELINE_DIR
-    monkeypatch.setenv("REPRO_BASELINE_DIR", "/tmp/elsewhere")
-    assert default_baseline_dir() == pathlib.Path("/tmp/elsewhere")
 
 
 def test_baseline_files_are_normalized():

@@ -741,3 +741,27 @@ def test_shutdown_without_drain_answers_queued_work_with_goodbye():
         await client.close()
 
     asyncio.run(main())
+
+
+def test_shutdown_without_drain_cuts_the_batch_window_short():
+    """Queued batchable ints sit in a 5 s window; shutdown(drain=False)
+    ends that wait instead of sleeping it out, and every queued request
+    is told ``shutting_down``."""
+    async def main():
+        server = ScanServer(ServeConfig(port=0, batch_window=5.0,
+                                        cache_entries=0))
+        await server.start()
+        client = await ServeClient.connect(HOST, server.port)
+        jobs = [asyncio.ensure_future(client.request("plus_scan", [i, i]))
+                for i in range(5)]
+        await asyncio.sleep(0.02)
+        assert server.pending_count == 5
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        await server.shutdown(drain=False)
+        assert loop.time() - t0 < 1.0
+        frames = await asyncio.gather(*jobs)
+        assert [f["error"]["code"] for f in frames] == ["shutting_down"] * 5
+        await client.close()
+
+    asyncio.run(main())

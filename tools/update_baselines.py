@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare only; exit 1 if any baseline differs")
     parser.add_argument("--dir", default=None,
                         help="baseline directory (default: baselines/ at "
-                             "the repo root, or $REPRO_BASELINE_DIR)")
+                             "the repo root)")
     args = parser.parse_args(argv)
 
     names = args.algorithms or available_algorithms()
